@@ -17,8 +17,9 @@ adds the fleet layer on top:
 * node-loss requeue: jobs routed to a dead worker fold back into the
   same bounded crash-requeue budget the single-node scheduler uses.
 
-The client API is unchanged - the coordinator speaks the exact
-``/v1/jobs`` protocol of :mod:`repro.service.server`, so
+The client API is unchanged - the coordinator is the second backend of
+the service's job-control plane (:mod:`repro.service.control`) behind
+the service's own HTTP front (:mod:`repro.service.server`), so
 :class:`repro.service.client.ServiceClient` talks to a fleet without
 knowing it.
 """

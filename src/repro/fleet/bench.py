@@ -41,12 +41,11 @@ from repro.atomicio import atomic_write_json
 from repro.fleet.local import LocalFleet
 from repro.service.client import ServiceClient
 from repro.service.loadtest import (
+    _cells_of,
     _direct_cells,
     _drive_pass,
     _job_requests,
-    _round_ms,
     _scrape_counter,
-    percentile,
 )
 from repro.trace.cache import DISK_ENV
 
@@ -91,40 +90,6 @@ WARM_SEED_OFFSET = 97
 #: bit-identity gate is untouched.  Set 0 on a many-core host to
 #: measure raw compute scaling instead.
 DEFAULT_CELL_DELAY_MS = 800.0
-
-
-def _pass_record(records: List[Dict], latencies: List[float],
-                 sheds: int, wall: float, failures: List[str],
-                 jobs: int) -> Dict:
-    submissions = jobs + sheds
-    completed = len(records)
-    return {
-        "jobs": jobs,
-        "completed": completed,
-        "failures": failures,
-        "degraded": completed < jobs,
-        "wall_seconds": round(wall, 3),
-        "throughput_jobs_per_s":
-            round(completed / wall, 3) if wall else 0.0,
-        "latency_ms": {
-            "p50": _round_ms(percentile(latencies, 0.50)),
-            "p95": _round_ms(percentile(latencies, 0.95)),
-            "p99": _round_ms(percentile(latencies, 0.99)),
-        },
-        "sheds": sheds,
-        "shed_rate": round(sheds / submissions, 4) if submissions
-        else 0.0,
-        "requeues": sum(
-            1 for record in records
-            for note in record.get("notes", []) if "requeued" in note),
-        "cached_jobs": sum(1 for record in records
-                           if record.get("cached")),
-    }
-
-
-def _cells_of(records: List[Dict]) -> List[Dict]:
-    return [cell for record in records
-            for cell in record["result"]["cells"]]
 
 
 def run_fleet(workers: int = 3, clients: int = 8,
@@ -187,22 +152,18 @@ def run_fleet(workers: int = 3, clients: int = 8,
                 # (imports serialize on small hosts) before the clock.
                 _drive_pass(fleet.url, warm_requests, clients,
                             poll_interval, job_timeout, warm_seed)
-                records, latencies, sheds, wall, failures = _drive_pass(
+                records, compute = _drive_pass(
                     fleet.url, requests, clients, poll_interval,
                     job_timeout, seed)
-                compute = _pass_record(records, latencies, sheds, wall,
-                                       failures, len(requests))
                 compute_identical = _cells_of(records) == direct
 
                 # Routing-affinity pass: a fresh coordinator cannot
                 # short-circuit, so repeats must ride the ring back to
                 # the node holding each cached result.
                 fleet.restart_coordinator(fresh_store=True)
-                records2, latencies2, sheds2, wall2, failures2 = \
-                    _drive_pass(fleet.url, requests, clients,
-                                poll_interval, job_timeout, seed + 1)
-                routed = _pass_record(records2, latencies2, sheds2,
-                                      wall2, failures2, len(requests))
+                records2, routed = _drive_pass(
+                    fleet.url, requests, clients, poll_interval,
+                    job_timeout, seed + 1)
                 routed_identical = _cells_of(records2) == direct
                 metrics_text = ServiceClient(
                     fleet.url, client_id="fleet-bench").metrics()

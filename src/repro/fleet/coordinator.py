@@ -31,10 +31,12 @@ things:
   *replays* completed work from disk, and a worker restart loses only
   cache locality, never results.
 
-Admission mirrors the single-node scheduler - result-store
-short-circuit, in-flight dedup, per-client quota, bounded backlog with
-``Retry-After`` sheds - so :class:`repro.service.client.ServiceClient`
-cannot tell a coordinator from a plain service.
+Admission, the job table, the drain and ``/metrics`` are the shared
+:class:`repro.service.control.JobControl` - the very code the
+single-node scheduler runs - so :class:`repro.service.client
+.ServiceClient` cannot tell a coordinator from a plain service.  This
+module adds only what a fleet job needs to run: routing, heartbeats,
+forwarding and the node-loss requeue.
 
 Every piece of coordinator state is touched only from the event-loop
 thread; disk I/O goes through ``run_in_executor`` (the repo-wide
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -55,44 +56,30 @@ from repro.fleet.netio import TransportError, request_json
 from repro.fleet.ring import HashRing
 from repro.obs.registry import ObsRegistry
 from repro.service import jobs as jobmodel
-from repro.service.jobs import Job, JobRequest, JobValidationError
-from repro.service.scheduler import Admission
+from repro.service.control import ControlConfig, JobControl, RETRY_AFTER_MAX
+from repro.service.jobs import Job, JobRequest
 from repro.service.store import ResultStore
+
+#: Per-HTTP-request timeout when talking to workers (seconds).
+FORWARD_TIMEOUT = 10.0
 
 
 @dataclass(frozen=True)
-class FleetConfig:
+class FleetConfig(ControlConfig):
     """Deployment knobs of one coordinator."""
 
-    #: Queued (accepted, not yet forwarded) jobs before load shedding.
+    #: The coordinator's own defaults for the shared admission bounds.
     max_backlog: int = 256
-    #: Queued+running jobs one client may hold before shedding.
     per_client_quota: int = 32
-    #: Node-loss requeues granted per job before failing it - the same
-    #: semantics as the scheduler's crash-requeue budget.
-    retry_budget: int = 2
-    #: Wall-clock budget of one job across all requeues (seconds).
-    job_timeout: float = 600.0
     #: Seconds between heartbeat probe rounds.
     heartbeat_interval: float = 0.5
     #: Consecutive missed heartbeats before a node is declared dead.
     heartbeat_misses: int = 3
-    #: Per-HTTP-request timeout when talking to workers (seconds).
-    forward_timeout: float = 10.0
     #: How often the coordinator polls a worker for job progress.
     poll_interval: float = 0.05
     #: Route to the secondary owner when the primary holds at least
     #: this many more outstanding jobs (0 disables spilling).
     spill_threshold: int = 4
-    #: Virtual nodes per worker on the hash ring.
-    vnodes: int = 64
-    #: How long shutdown waits for in-flight jobs (seconds).
-    drain_timeout: float = 30.0
-    #: Retry-After bounds for shed clients (seconds).
-    min_retry_after: int = 1
-    max_retry_after: int = 60
-    #: Run the store's bulk eviction every N submissions (0 = never).
-    evict_every: int = 64
 
 
 @dataclass
@@ -142,30 +129,22 @@ def request_payload(request: JobRequest) -> Dict:
             "priority": request.priority}
 
 
-class FleetCoordinator:
-    """Admission + routing + liveness over a set of worker nodes."""
+class FleetCoordinator(JobControl):
+    """Job control whose jobs run on worker nodes, routed by a ring."""
+
+    metric_prefix = "fleet_"
+    store_hit_counter = "fleet_store_hits_total"
 
     def __init__(self, config: Optional[FleetConfig] = None,
                  store: Optional[ResultStore] = None,
                  registry: Optional[ObsRegistry] = None,
                  workers: Optional[List[str]] = None) -> None:
-        self.config = config or FleetConfig()
-        self.store = store
-        self.registry = registry or ObsRegistry()
+        super().__init__(config or FleetConfig(), store, registry)
         self.nodes: Dict[str, WorkerNode] = {}
-        self.ring = HashRing(vnodes=self.config.vnodes)
-        self.jobs: Dict[str, Job] = {}
-        self._by_key: Dict[str, Job] = {}
-        self._client_active: Dict[str, int] = {}
+        self.ring = HashRing()
         self._node_of: Dict[str, str] = {}   # job id -> worker url
-        self._queued = 0
-        self._running = 0
-        self._submissions = 0
-        self._accepting = True
-        self._draining = False
         self._tasks: List["asyncio.Task"] = []
         self._heartbeat_task: Optional["asyncio.Task"] = None
-        self.started_at = time.time()
         for url in workers or []:
             self.add_worker(url)
 
@@ -214,19 +193,7 @@ class FleetCoordinator:
             self._heartbeat_task = asyncio.get_running_loop().create_task(
                 self._heartbeat_loop(), name="wsrs-fleet-heartbeat")
 
-    async def shutdown(self, drain: bool = True) -> None:
-        """Stop admission, let forwarded jobs finish, reap the tasks."""
-        self._accepting = False
-        self._draining = True
-        if drain:
-            deadline = time.monotonic() + self.config.drain_timeout
-            while self._running and time.monotonic() < deadline:
-                await asyncio.sleep(0.02)
-        for job in list(self.jobs.values()):
-            if job.state == jobmodel.QUEUED:
-                self._finish(job, jobmodel.CANCELLED,
-                             error="coordinator shutting down",
-                             queued=True)
+    async def _stop_tasks(self) -> None:
         pending = [task for task in self._tasks if not task.done()]
         if self._heartbeat_task is not None:
             pending.append(self._heartbeat_task)
@@ -236,134 +203,24 @@ class FleetCoordinator:
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
         self._tasks = []
-        if self.store is not None:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.store.evict_expired)
 
-    # -- admission (mirrors Scheduler.submit) ----------------------------
+    # -- backend contract ------------------------------------------------
 
-    def submit(self, payload: object, client: str = "anonymous"
-               ) -> Admission:
-        """Admit (or shed) one submission; accepted jobs dispatch async."""
-        self._submissions += 1
-        if (self.store is not None and self.config.evict_every
-                and self._submissions % self.config.evict_every == 0):
-            self.store.evict_expired()
-        if not self._accepting:
-            self.registry.count("admission_shed_total")
-            return Admission(status=503, error="coordinator is draining",
-                             retry_after=self.config.max_retry_after)
-        try:
-            request = jobmodel.parse_request(payload)
-        except JobValidationError as exc:
-            self.registry.count("jobs_rejected_total")
-            return Admission(status=400, error=str(exc))
-        key = jobmodel.job_key(request)
-
-        # Authoritative-store short circuit: identical work already
-        # completed somewhere in the fleet (possibly before a restart).
-        if self.store is not None:
-            stored = self.store.get(key)
-            if stored is not None:
-                self.registry.count("fleet_store_hits_total")
-                job = self._attach(request, key, client)
-                job.cached = True
-                job.started_at = job.submitted_at
-                self._finish(job, jobmodel.DONE, result=stored,
-                             queued=False, account_client=False)
-                return Admission(status=200, job=job, cached=True)
-
-        existing = self._by_key.get(key)
-        if (existing is not None and not existing.terminal
-                and not existing.cancel_requested):
-            existing.deduped += 1
-            self.registry.count("dedup_hits_total")
-            return Admission(status=202, job=existing, deduped=True)
-
-        active = self._client_active.get(client, 0)
-        if active >= self.config.per_client_quota:
-            self.registry.count("admission_shed_total")
-            return Admission(
-                status=429,
-                error=f"client {client!r} already has {active} active "
-                      f"job(s) (quota {self.config.per_client_quota})",
-                retry_after=self.retry_after_hint())
-        if self._queued >= self.config.max_backlog:
-            self.registry.count("admission_shed_total")
-            return Admission(
-                status=429,
-                error=f"backlog full ({self._queued} job(s) queued, "
-                      f"bound {self.config.max_backlog})",
-                retry_after=self.retry_after_hint())
-
-        job = self._attach(request, key, client)
-        job.state = jobmodel.QUEUED
-        self._by_key[key] = job
-        self._client_active[client] = active + 1
-        self._queued += 1
-        self.registry.count("fleet_jobs_submitted_total")
+    def _launch(self, job: Job) -> None:
         task = asyncio.get_running_loop().create_task(
             self._dispatch(job), name=f"wsrs-fleet-dispatch-{job.id}")
         self._tasks.append(task)
         if len(self._tasks) > 64:
             self._tasks = [item for item in self._tasks
                            if not item.done()]
-        return Admission(status=202, job=job)
 
-    def _attach(self, request: JobRequest, key: str, client: str) -> Job:
-        job = Job(id=jobmodel.new_job_id(), key=key, request=request,
-                  client=client, submitted_at=time.time())
-        self.jobs[job.id] = job
-        return job
-
-    def retry_after_hint(self) -> int:
-        latency = self.registry.histograms.get("fleet_job_latency_ms")
-        mean_ms = latency.mean if latency is not None else 0.0
-        slots = max(1, len(self.alive_workers))
-        if mean_ms <= 0:
-            return self.config.min_retry_after
-        waves = math.ceil((self._queued + 1) / slots)
-        estimate = math.ceil(waves * mean_ms / 1000.0)
-        return max(self.config.min_retry_after,
-                   min(self.config.max_retry_after, estimate))
+    def _slots(self) -> int:
+        return len(self.alive_workers)
 
     # -- queries ---------------------------------------------------------
 
-    def get(self, job_id: str) -> Optional[Job]:
-        return self.jobs.get(job_id)
-
     def node_of(self, job_id: str) -> Optional[str]:
         return self._node_of.get(job_id)
-
-    def cancel(self, job_id: str) -> Optional[bool]:
-        """Flag a job for cancellation (the dispatch task forwards it)."""
-        job = self.jobs.get(job_id)
-        if job is None:
-            return None
-        if job.terminal:
-            return False
-        job.cancel_requested = True
-        return True
-
-    @property
-    def queued(self) -> int:
-        return self._queued
-
-    @property
-    def running(self) -> int:
-        return self._running
-
-    @property
-    def accepting(self) -> bool:
-        return self._accepting
-
-    def counts(self) -> Dict[str, int]:
-        states: Dict[str, int] = {state: 0 for state in (
-            jobmodel.QUEUED, jobmodel.RUNNING, jobmodel.DONE,
-            jobmodel.FAILED, jobmodel.CANCELLED)}
-        for job in self.jobs.values():
-            states[job.state] = states.get(job.state, 0) + 1
-        return states
 
     def fleet_summary(self) -> Dict:
         return {
@@ -371,6 +228,12 @@ class FleetCoordinator:
                         for _, node in sorted(self.nodes.items())],
             "alive": len(self.alive_workers),
         }
+
+    def _gauges(self) -> Dict[str, float]:
+        gauges = super()._gauges()
+        gauges["wsrs_fleet_workers_total"] = len(self.nodes)
+        gauges["wsrs_fleet_workers_alive"] = len(self.alive_workers)
+        return gauges
 
     # -- routing ---------------------------------------------------------
 
@@ -403,7 +266,7 @@ class FleetCoordinator:
     async def _probe(self, node: WorkerNode) -> None:
         self.registry.count("fleet_heartbeats_total")
         timeout = max(0.25, min(self.config.heartbeat_interval * 2.0,
-                                self.config.forward_timeout))
+                                FORWARD_TIMEOUT))
         healthy = False
         try:
             status, _headers, data = await request_json(
@@ -429,17 +292,14 @@ class FleetCoordinator:
         deadline = time.monotonic() + self.config.job_timeout
         avoid: List[str] = []
         try:
-            while True:
-                if job.terminal:
-                    return
+            while not job.terminal:
                 if job.cancel_requested:
                     self._finish(job, jobmodel.CANCELLED,
-                                 error="cancelled by client", queued=True)
+                                 error="cancelled by client")
                     return
                 if self._draining:
                     self._finish(job, jobmodel.CANCELLED,
-                                 error="coordinator shutting down",
-                                 queued=True)
+                                 error="server shutting down")
                     return
                 node_url = self.route(job.key, avoid=avoid)
                 if node_url is None and avoid:
@@ -449,8 +309,7 @@ class FleetCoordinator:
                     node_url = self.route(job.key)
                 if node_url is None:
                     self._finish(job, jobmodel.FAILED,
-                                 error="no live worker nodes",
-                                 queued=True)
+                                 error="no live worker nodes")
                     return
                 job.attempts += 1
                 try:
@@ -470,19 +329,16 @@ class FleetCoordinator:
                 if job.state == jobmodel.DONE and self.store is not None:
                     await asyncio.get_running_loop().run_in_executor(
                         None, self.store.put, job.key, job.result)
-                return
         except asyncio.CancelledError:
-            if not job.terminal:
-                self._finish(job, jobmodel.FAILED,
-                             error="aborted by coordinator shutdown",
-                             queued=job.state == jobmodel.QUEUED)
+            self._finish(job, jobmodel.FAILED,
+                         error="aborted by server shutdown")
             raise
         except Exception as exc:  # defensive: a dispatch bug must not
             # leave the job spinning forever
-            if not job.terminal:
-                self._finish(job, jobmodel.FAILED,
-                             error=f"{type(exc).__name__}: {exc}",
-                             queued=job.state == jobmodel.QUEUED)
+            self._finish(job, jobmodel.FAILED,
+                         error=f"{type(exc).__name__}: {exc}")
+        finally:
+            self._node_of.pop(job.id, None)
 
     async def _forward_and_wait(self, job: Job, node: WorkerNode,
                                 deadline: float) -> Dict:
@@ -491,15 +347,10 @@ class FleetCoordinator:
         Raises :class:`NodeLost` when the node stops being a usable home
         for the job, :class:`asyncio.TimeoutError` past the deadline.
         """
-        config = self.config
         headers = {"X-Client": f"fleet:{job.client}"}
         node.outstanding += 1
         self._node_of[job.id] = node.url
-        was_queued = job.state == jobmodel.QUEUED
-        if was_queued:
-            self._queued -= 1
-            self._running += 1
-        job.state = jobmodel.RUNNING
+        self._to_running(job)
         if job.started_at is None:
             job.started_at = time.time()
         try:
@@ -516,12 +367,11 @@ class FleetCoordinator:
                     await self._try_cancel_remote(node, remote_id,
                                                   headers)
                     cancel_sent = True
-                await asyncio.sleep(config.poll_interval)
+                await asyncio.sleep(self.config.poll_interval)
                 try:
                     status, _h, data = await request_json(
                         node.url, "GET", f"/v1/jobs/{remote_id}",
-                        headers=headers,
-                        timeout=config.forward_timeout)
+                        headers=headers, timeout=FORWARD_TIMEOUT)
                 except TransportError as exc:
                     raise NodeLost(f"{node.url} unreachable mid-poll: "
                                    f"{exc}") from exc
@@ -538,22 +388,19 @@ class FleetCoordinator:
             return record
         finally:
             node.outstanding -= 1
-            # Leave _node_of as the last node that held the job; the
-            # next forward overwrites it and _finish clears it.
 
     async def _forward(self, job: Job, node: WorkerNode,
                        headers: Dict[str, str],
                        deadline: float) -> Dict:
         """POST the job to a worker, riding out transient sheds."""
         payload = request_payload(job.request)
-        config = self.config
         while True:
             if time.monotonic() >= deadline:
                 raise asyncio.TimeoutError
             try:
                 status, reply_headers, data = await request_json(
                     node.url, "POST", "/v1/jobs", payload=payload,
-                    headers=headers, timeout=config.forward_timeout)
+                    headers=headers, timeout=FORWARD_TIMEOUT)
             except TransportError as exc:
                 raise NodeLost(
                     f"{node.url} unreachable on submit: {exc}") from exc
@@ -569,7 +416,7 @@ class FleetCoordinator:
                 hint = data.get("retry_after")
                 pause = min(float(hint) if isinstance(
                     hint, (int, float)) else 1.0,
-                    float(config.max_retry_after))
+                    float(RETRY_AFTER_MAX))
                 await asyncio.sleep(max(0.05, pause))
                 if job.cancel_requested or self._draining:
                     raise NodeLost("gave up re-offering during "
@@ -589,11 +436,11 @@ class FleetCoordinator:
         try:
             await request_json(node.url, "DELETE",
                                f"/v1/jobs/{remote_id}", headers=headers,
-                               timeout=self.config.forward_timeout)
+                               timeout=FORWARD_TIMEOUT)
         except TransportError:
             pass  # the poll loop will classify the node's fate
 
-    # -- terminal bookkeeping --------------------------------------------
+    # -- outcomes ----------------------------------------------------------
 
     def _requeue(self, job: Job, node_url: str, reason: str) -> bool:
         """Fold a node loss into the retry budget.  True to retry."""
@@ -612,9 +459,7 @@ class FleetCoordinator:
         self.registry.count("fleet_requeues_total")
         job.notes.append(
             f"attempt {job.attempts} lost node {node_url}; requeued")
-        job.state = jobmodel.QUEUED
-        self._running -= 1
-        self._queued += 1
+        self._to_queued(job)
         return True
 
     def _fold(self, job: Job, record: Dict) -> None:
@@ -632,7 +477,7 @@ class FleetCoordinator:
                 self.nodes[node_url].jobs_done += 1
             self._finish(job, jobmodel.DONE, result=result)
             self.registry.sample(
-                "fleet_job_latency_ms",
+                self.latency_histogram,
                 max(1, round((job.finished_at - job.submitted_at)
                              * 1000.0)))
             return
@@ -643,32 +488,3 @@ class FleetCoordinator:
         self._finish(job, jobmodel.FAILED,
                      error=record.get("error")
                      or f"failed on {node_url}")
-
-    def _finish(self, job: Job, state: str, result: Optional[Dict] = None,
-                error: Optional[str] = None, queued: bool = False,
-                account_client: bool = True) -> None:
-        """Move a job to a terminal state exactly once (same contract as
-        the scheduler's ``_finish``)."""
-        if job.terminal:
-            return
-        was_running = job.state == jobmodel.RUNNING
-        job.state = state
-        job.result = result
-        job.error = error
-        job.finished_at = time.time()
-        if job.started_at is not None:
-            job.latency_ms = (job.finished_at - job.submitted_at) * 1000.0
-        if queued:
-            self._queued -= 1
-        elif was_running:
-            self._running -= 1
-        if self._by_key.get(job.key) is job:
-            del self._by_key[job.key]
-        if account_client and (queued or was_running):
-            active = self._client_active.get(job.client, 0)
-            if active <= 1:
-                self._client_active.pop(job.client, None)
-            else:
-                self._client_active[job.client] = active - 1
-        self._node_of.pop(job.id, None)
-        self.registry.count(f"fleet_jobs_{state}_total")

@@ -103,16 +103,7 @@ class LocalFleet:
     def start(self, timeout: float = 120.0) -> str:
         """Boot coordinator + workers; returns the coordinator URL."""
         self._tmp = tempfile.TemporaryDirectory(prefix="wsrs-fleet-")
-        coordinator = build_coordinator(
-            store_dir=f"{self._tmp.name}/coordinator",
-            heartbeat_interval=self.heartbeat_interval,
-            heartbeat_misses=self.heartbeat_misses,
-            retry_budget=self.retry_budget,
-            spill_threshold=self.spill_threshold,
-            poll_interval=self.poll_interval,
-            job_timeout=self.job_timeout)
-        self._embedded = EmbeddedCoordinator(coordinator, host=self.host)
-        self.url = self._embedded.start()
+        self._start_coordinator(f"{self._tmp.name}/coordinator", [])
         context = multiprocessing.get_context("spawn")
         self._ports = [_free_port(self.host)
                        for _ in range(self.worker_count)]
@@ -131,6 +122,19 @@ class LocalFleet:
         self.announce(f"fleet: coordinator at {self.url}, "
                       f"{self.worker_count} worker(s) alive")
         return self.url
+
+    def _start_coordinator(self, store_dir: str,
+                           workers: List[str]) -> None:
+        coordinator = build_coordinator(
+            workers=workers, store_dir=store_dir,
+            heartbeat_interval=self.heartbeat_interval,
+            heartbeat_misses=self.heartbeat_misses,
+            retry_budget=self.retry_budget,
+            spill_threshold=self.spill_threshold,
+            poll_interval=self.poll_interval,
+            job_timeout=self.job_timeout)
+        self._embedded = EmbeddedCoordinator(coordinator, host=self.host)
+        self.url = self._embedded.start()
 
     def _await_alive(self, count: int, timeout: float) -> None:
         deadline = time.monotonic() + timeout
@@ -174,16 +178,7 @@ class LocalFleet:
         live = [url for url, process
                 in zip(self.worker_urls, self._processes)
                 if process.is_alive()]
-        coordinator = build_coordinator(
-            workers=live, store_dir=store_dir,
-            heartbeat_interval=self.heartbeat_interval,
-            heartbeat_misses=self.heartbeat_misses,
-            retry_budget=self.retry_budget,
-            spill_threshold=self.spill_threshold,
-            poll_interval=self.poll_interval,
-            job_timeout=self.job_timeout)
-        self._embedded = EmbeddedCoordinator(coordinator, host=self.host)
-        self.url = self._embedded.start()
+        self._start_coordinator(store_dir, live)
         self._await_alive(len(live), 30.0)
         self.announce(f"fleet: coordinator restarted at {self.url} "
                       f"({'fresh' if fresh_store else 'replayed'} store)")
@@ -193,7 +188,7 @@ class LocalFleet:
     def coordinator(self):
         """The live coordinator object (tests reach into its state)."""
         assert self._embedded is not None
-        return self._embedded.coordinator
+        return self._embedded.control
 
     def stop(self) -> None:
         for process in self._processes:

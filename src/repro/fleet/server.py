@@ -1,10 +1,11 @@
 """HTTP front end of the fleet coordinator.
 
-The same deliberately small asyncio HTTP/1.1 stack as
-:mod:`repro.service.server`, speaking the same ``/v1/jobs`` API - a
-:class:`repro.service.client.ServiceClient` pointed at a coordinator
-cannot tell it from a single-node service.  On top of the service
-surface it adds one fleet-private route:
+:class:`CoordinatorServer` is the service's own
+:class:`repro.service.server.ServiceServer` speaking the same
+``/v1/jobs`` API - a :class:`repro.service.client.ServiceClient` pointed
+at a coordinator cannot tell it from a single-node service.  It adds
+the fleet-private routes, the ``node`` holding each job in its status
+record and a ``fleet`` block in ``/healthz``:
 
 =================================  ====================================
 ``POST /v1/fleet/register``        a worker announces itself
@@ -14,34 +15,22 @@ surface it adds one fleet-private route:
                                    outstanding jobs, completions
 =================================  ====================================
 
-Routing here is *async* (forwarding decisions may await worker I/O in
-the dispatch tasks the routes spawn), which is why
-:func:`repro.service.server._read_request` was split out of the service
-server: both stacks parse requests identically and render through the
-same :func:`repro.service.server._render_response`.
-
 :func:`serve_coordinator` is the blocking ``wsrs fleet
-serve-coordinator`` entry point with the same SIGINT/SIGTERM drain
-discipline as the service; :class:`EmbeddedCoordinator` runs the stack
-on a daemon thread for tests, the local fleet harness and the bench.
+serve-coordinator`` entry point with the same SIGINT/SIGTERM drain as
+the service; :class:`EmbeddedCoordinator` runs the stack on a daemon
+thread for tests, the local fleet harness and the bench.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
-import signal
-import threading
-import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.fleet.coordinator import FleetConfig, FleetCoordinator
-from repro.service.scheduler import render_prometheus, store_gauges
 from repro.service.server import (
+    EmbeddedServer,
     ServiceServer,
-    _BadRequest,
-    _read_request,
-    _render_response,
+    run_until_signalled,
 )
 from repro.service.store import DEFAULT_TTL_SECONDS, ResultStore
 
@@ -51,119 +40,32 @@ DEFAULT_COORDINATOR_PORT = 8788
 
 def coordinator_metrics_text(coordinator: FleetCoordinator) -> str:
     """The coordinator's ``/metrics`` body (``wsrs_fleet_*`` family)."""
-    gauges: Dict[str, float] = {
-        "wsrs_fleet_workers_total": len(coordinator.nodes),
-        "wsrs_fleet_workers_alive": len(coordinator.alive_workers),
-        "wsrs_fleet_queue_depth": coordinator.queued,
-        "wsrs_fleet_jobs_running": coordinator.running,
-        "wsrs_accepting": int(coordinator.accepting),
-        "wsrs_uptime_seconds": round(
-            time.time() - coordinator.started_at, 3),
-    }
-    gauges.update(store_gauges(coordinator.store))
-    return render_prometheus(coordinator.registry, gauges)
+    return coordinator.metrics_text()
 
 
-class CoordinatorServer:
-    """One listening socket routing requests into a coordinator."""
+class CoordinatorServer(ServiceServer):
+    """The service HTTP front plus the fleet routes."""
 
-    def __init__(self, coordinator: FleetCoordinator,
-                 host: str = "127.0.0.1", port: int = 0) -> None:
-        self.coordinator = coordinator
-        self.host = host
-        self.port = port
-        self._server: Optional[asyncio.AbstractServer] = None
+    name = "wsrs fleet coordinator"
+    control: FleetCoordinator
 
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        try:
-            try:
-                method, target, headers, body = await _read_request(
-                    reader)
-            except _BadRequest as bad:
-                status, payload, extra = bad.status, \
-                    {"error": bad.message}, {}
-            else:
-                status, payload, extra = await self.route(
-                    method, target, headers, body)
-        except Exception as exc:  # defensive: a handler bug must not
-            # take the coordinator down with the connection
-            status, payload, extra = 500, {
-                "error": f"internal error: {type(exc).__name__}"}, {}
-        try:
-            writer.write(_render_response(status, payload, extra))
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass  # client went away mid-reply
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    # -- routing ---------------------------------------------------------
-
-    async def route(self, method: str, target: str,
-                    headers: Dict[str, str], body: bytes
-                    ) -> Tuple[int, object, Dict[str, str]]:
+    def route(self, method: str, target: str, headers: Dict[str, str],
+              body: bytes) -> Tuple[int, object, Dict[str, str]]:
         path = target.split("?", 1)[0]
-        if path == "/healthz":
-            if method != "GET":
-                return 405, {"error": "healthz is GET-only"}, {}
-            return 200, self._healthz(), {}
-        if path == "/metrics":
-            if method != "GET":
-                return 405, {"error": "metrics is GET-only"}, {}
-            return 200, coordinator_metrics_text(self.coordinator), \
-                {"Content-Type": "text/plain; version=0.0.4"}
         if path == "/v1/fleet":
             if method != "GET":
                 return 405, {"error": "fleet topology is GET-only"}, {}
-            return 200, self.coordinator.fleet_summary(), {}
+            return 200, self.control.fleet_summary(), {}
         if path == "/v1/fleet/register":
             if method != "POST":
                 return 405, {"error": "register workers with POST"}, {}
             return self._register(body)
-        if path == "/v1/jobs":
-            if method != "POST":
-                return 405, {"error": "submit jobs with POST"}, {}
-            return self._submit(headers, body)
-        if path.startswith("/v1/jobs/"):
-            job_id = path[len("/v1/jobs/"):]
-            if method == "GET":
-                return self._status(job_id)
-            if method == "DELETE":
-                return self._cancel(job_id)
-            return 405, {"error": "job resources accept GET/DELETE"}, {}
-        return 404, {"error": f"no route for {path!r}"}, {}
+        return super().route(method, target, headers, body)
 
     def _healthz(self) -> Dict:
-        coordinator = self.coordinator
-        return {
-            "status": "ok" if coordinator.accepting else "draining",
-            "queued": coordinator.queued,
-            "running": coordinator.running,
-            "jobs": coordinator.counts(),
-            "store": (coordinator.store.stats()
-                      if coordinator.store is not None else None),
-            "fleet": coordinator.fleet_summary(),
-        }
+        record = super()._healthz()
+        record["fleet"] = self.control.fleet_summary()
+        return record
 
     def _register(self, body: bytes
                   ) -> Tuple[int, object, Dict[str, str]]:
@@ -175,37 +77,15 @@ class CoordinatorServer:
         if not isinstance(url, str) or not url.startswith("http"):
             return 400, {"error": "register payload needs a worker "
                                   "'url'"}, {}
-        node = self.coordinator.add_worker(url)
+        node = self.control.add_worker(url)
         return 200, {"registered": node.url,
-                     "workers": self.coordinator.alive_workers}, {}
-
-    def _submit(self, headers: Dict[str, str], body: bytes
-                ) -> Tuple[int, object, Dict[str, str]]:
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-        except (UnicodeDecodeError, ValueError):
-            return 400, {"error": "request body is not valid JSON"}, {}
-        client = headers.get("x-client") or (
-            payload.get("client") if isinstance(payload, dict) else None
-        ) or "anonymous"
-        admission = self.coordinator.submit(payload, client=client)
-        return ServiceServer._admission_response(admission)
+                     "workers": self.control.alive_workers}, {}
 
     def _status(self, job_id: str) -> Tuple[int, object, Dict[str, str]]:
-        job = self.coordinator.get(job_id)
-        if job is None:
-            return 404, {"error": f"no job {job_id!r}"}, {}
-        record = job.as_dict()
-        record["node"] = self.coordinator.node_of(job_id)
-        return 200, record, {}
-
-    def _cancel(self, job_id: str) -> Tuple[int, object, Dict[str, str]]:
-        outcome = self.coordinator.cancel(job_id)
-        if outcome is None:
-            return 404, {"error": f"no job {job_id!r}"}, {}
-        job = self.coordinator.get(job_id)
-        return 200, {"id": job_id, "cancelled": outcome,
-                     "state": job.state if job else None}, {}
+        status, record, extra = super()._status(job_id)
+        if status == 200:
+            record["node"] = self.control.node_of(job_id)
+        return status, record, extra
 
 
 # -- blocking entry point (wsrs fleet serve-coordinator) ------------------
@@ -236,105 +116,21 @@ def build_coordinator(workers: Optional[List[str]] = None,
     return FleetCoordinator(config=config, store=store, workers=workers)
 
 
-async def _amain(coordinator: FleetCoordinator, host: str, port: int,
-                 ready: Optional[Callable[[CoordinatorServer],
-                                          None]] = None,
-                 stop_event: Optional[asyncio.Event] = None,
-                 announce: Callable[[str], None] = print) -> None:
-    await coordinator.start()
-    server = CoordinatorServer(coordinator, host=host, port=port)
-    await server.start()
-    stop = stop_event or asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass  # non-main thread or unsupported platform
-    announce(f"wsrs fleet coordinator listening on {server.url} "
-             f"({len(coordinator.nodes)} worker(s) registered)")
-    if ready is not None:
-        ready(server)
-    try:
-        await stop.wait()
-    finally:
-        announce("wsrs fleet coordinator draining...")
-        await server.stop()
-        await coordinator.shutdown(drain=True)
-        announce("wsrs fleet coordinator stopped")
-
-
 def serve_coordinator(host: str = "127.0.0.1",
                       port: int = DEFAULT_COORDINATOR_PORT,
                       coordinator: Optional[FleetCoordinator] = None,
                       announce: Callable[[str], None] = print) -> int:
     """Run the coordinator until SIGINT/SIGTERM; returns an exit code."""
-    coordinator = coordinator or build_coordinator()
-    try:
-        asyncio.run(_amain(coordinator, host, port, announce=announce))
-    except KeyboardInterrupt:
-        pass  # drain already ran via the signal handler where possible
-    return 0
+    server = CoordinatorServer(coordinator or build_coordinator(), host,
+                               port)
+    return run_until_signalled(server, announce)
 
 
-class EmbeddedCoordinator:
+class EmbeddedCoordinator(EmbeddedServer):
     """The coordinator stack on a daemon thread (tests + local fleet)."""
+
+    server_class = CoordinatorServer
 
     def __init__(self, coordinator: Optional[FleetCoordinator] = None,
                  host: str = "127.0.0.1", port: int = 0) -> None:
-        self.coordinator = coordinator or build_coordinator()
-        self.host = host
-        self.port = port
-        self.url: Optional[str] = None
-        self._ready = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._thread: Optional[threading.Thread] = None
-        self._startup_error: Optional[BaseException] = None
-
-    def start(self, timeout: float = 10.0) -> str:
-        self._thread = threading.Thread(
-            target=self._run, daemon=True,
-            name="wsrs-embedded-coordinator")
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError(
-                "embedded coordinator failed to start in time")
-        if self._startup_error is not None:
-            raise RuntimeError("embedded coordinator failed to start") \
-                from self._startup_error
-        assert self.url is not None
-        return self.url
-
-    def _run(self) -> None:
-        async def main() -> None:
-            self._loop = asyncio.get_running_loop()
-            self._stop_event = asyncio.Event()
-
-            def ready(server: CoordinatorServer) -> None:
-                self.url = server.url
-                self.port = server.port
-                self._ready.set()
-
-            await _amain(self.coordinator, self.host, self.port,
-                         ready=ready, stop_event=self._stop_event,
-                         announce=lambda _message: None)
-
-        try:
-            asyncio.run(main())
-        except BaseException as exc:  # surfaced to start()'s caller
-            self._startup_error = exc
-            self._ready.set()
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._loop is not None and self._stop_event is not None:
-            self._loop.call_soon_threadsafe(self._stop_event.set)
-        if self._thread is not None:
-            self._thread.join(timeout)
-
-    def __enter__(self) -> "EmbeddedCoordinator":
-        self.start()
-        return self
-
-    def __exit__(self, *_exc_info) -> None:
-        self.stop()
+        super().__init__(coordinator or build_coordinator(), host, port)

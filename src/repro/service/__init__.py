@@ -11,15 +11,18 @@ into a long-lived, stdlib-only service:
                    machine, result payload shaping
 :mod:`store`       disk-backed result store - atomic writes
                    (:mod:`repro.atomicio`) and TTL eviction
-:mod:`scheduler`   asyncio scheduler bridging jobs onto the PR-1
-                   ``ProcessPoolExecutor`` engine: admission control,
-                   per-client quotas, bounded backlog with load
-                   shedding, dedup of identical in-flight requests,
-                   per-job timeout/cancellation, worker-crash requeue,
-                   graceful drain
-:mod:`server`      asyncio HTTP server: ``POST/GET/DELETE /v1/jobs``,
-                   ``/healthz``, Prometheus-style ``/metrics`` fed from
-                   the PR-4 :class:`~repro.obs.registry.ObsRegistry`
+:mod:`control`     the job-control plane shared with the fleet:
+                   admission control (result-store short circuit,
+                   dedup of identical in-flight requests, per-client
+                   quotas, bounded backlog with load shedding), the
+                   bounded job table, graceful drain, ``/metrics``
+:mod:`scheduler`   its local backend: jobs run on the PR-1
+                   ``ProcessPoolExecutor`` engine with per-job
+                   timeout/cancellation and worker-crash requeue
+:mod:`server`      asyncio HTTP server for either backend:
+                   ``POST/GET/DELETE /v1/jobs``, ``/healthz``,
+                   Prometheus-style ``/metrics`` fed from the PR-4
+                   :class:`~repro.obs.registry.ObsRegistry`
 :mod:`client`      retrying HTTP client - exponential backoff with
                    jitter, ``Retry-After`` honoured on load shedding
 :mod:`loadtest`    multi-client load harness: throughput/latency

@@ -159,31 +159,23 @@ class ServiceClient:
             f"submission shed {self.max_attempts} time(s); the service "
             f"is saturated")
 
-    def job(self, job_id: str) -> Dict:
-        status, _headers, data = self._resilient(
-            "GET", f"/v1/jobs/{job_id}")
-        if status == 200 and isinstance(data, dict):
+    def _fetch(self, method: str, path: str, kind: type) -> object:
+        status, _headers, data = self._resilient(method, path)
+        if status == 200 and isinstance(data, kind):
             return data
         raise ServiceError(_error_text(status, data))
+
+    def job(self, job_id: str) -> Dict:
+        return self._fetch("GET", f"/v1/jobs/{job_id}", dict)
 
     def cancel(self, job_id: str) -> Dict:
-        status, _headers, data = self._resilient(
-            "DELETE", f"/v1/jobs/{job_id}")
-        if status == 200 and isinstance(data, dict):
-            return data
-        raise ServiceError(_error_text(status, data))
+        return self._fetch("DELETE", f"/v1/jobs/{job_id}", dict)
 
     def healthz(self) -> Dict:
-        status, _headers, data = self._resilient("GET", "/healthz")
-        if status == 200 and isinstance(data, dict):
-            return data
-        raise ServiceError(_error_text(status, data))
+        return self._fetch("GET", "/healthz", dict)
 
     def metrics(self) -> str:
-        status, _headers, data = self._resilient("GET", "/metrics")
-        if status == 200 and isinstance(data, str):
-            return data
-        raise ServiceError(_error_text(status, data))
+        return self._fetch("GET", "/metrics", str)
 
     def wait(self, job_id: str, poll_interval: float = 0.05,
              timeout: float = 600.0) -> Dict:

@@ -81,15 +81,13 @@ def _job_requests(benchmarks: Sequence[str], configs: Sequence[str],
 
 def _drive_pass(url: str, requests: List[Dict], clients: int,
                 poll_interval: float, timeout: float, seed: int
-                ) -> Tuple[List[Dict], List[float], int, float,
-                           List[str]]:
+                ) -> Tuple[List[Dict], Dict]:
     """One pass: round-robin the requests over ``clients`` threads.
 
-    Returns (terminal job records of the *completed* jobs in request
-    order, their latencies in ms, sheds seen, wall seconds, failure
-    descriptions).  A job that sheds out or fails does not abort the
-    pass - the remaining jobs still run, and the caller reports the
-    pass as degraded instead of masking the outage.
+    Returns the terminal job records of the *completed* jobs in request
+    order and the pass record.  A job that sheds out or fails does not
+    abort the pass - the remaining jobs still run, and the pass record
+    reports the pass as degraded instead of masking the outage.
     """
     records: List[Optional[Dict]] = [None] * len(requests)
     latencies: List[Optional[float]] = [None] * len(requests)
@@ -125,9 +123,38 @@ def _drive_pass(url: str, requests: List[Dict], clients: int,
         thread.join()
     wall = time.monotonic() - wall_start
     sheds = sum(client.sheds_seen for client in handles)
-    return ([record for record in records if record is not None],
-            [latency for latency in latencies if latency is not None],
-            sheds, wall, failures)
+    done = [record for record in records if record is not None]
+    completed = len(done)
+    latency = [value for value in latencies if value is not None]
+    submissions = len(requests) + sheds
+    return done, {
+        "jobs": len(requests),
+        "completed": completed,
+        "failures": failures,
+        "degraded": completed < len(requests),
+        "wall_seconds": round(wall, 3),
+        "throughput_jobs_per_s":
+            round(completed / wall, 3) if wall else 0.0,
+        # None (JSON null) when nothing completed: an all-shed pass has
+        # no latency, not a flattering 0.0 ms one.
+        "latency_ms": {
+            "p50": _round_ms(percentile(latency, 0.50)),
+            "p95": _round_ms(percentile(latency, 0.95)),
+            "p99": _round_ms(percentile(latency, 0.99)),
+        },
+        "sheds": sheds,
+        "shed_rate": round(sheds / submissions, 4) if submissions
+        else 0.0,
+        "requeues": sum(
+            1 for record in done
+            for note in record.get("notes", []) if "requeued" in note),
+        "cached_jobs": sum(1 for record in done if record.get("cached")),
+    }
+
+
+def _cells_of(records: List[Dict]) -> List[Dict]:
+    return [cell for record in records
+            for cell in record["result"]["cells"]]
 
 
 def _scrape_counter(metrics_text: str, name: str) -> int:
@@ -195,45 +222,20 @@ def run(url: Optional[str] = None, clients: int = 4,
         pass_records: List[Dict] = []
         all_pass_cells: List[List[Dict]] = []
         for pass_index in range(passes):
-            records, latencies, sheds, wall, failures = _drive_pass(
+            records, pass_record = _drive_pass(
                 url, requests, clients, poll_interval, job_timeout,
                 seed + pass_index)
-            cells = [cell
-                     for record in records
-                     for cell in record["result"]["cells"]]
-            all_pass_cells.append(cells)
-            submissions = len(requests) + sheds
-            completed = len(records)
-            degraded = completed < len(requests)
-            pass_records.append({
-                "jobs": len(requests),
-                "completed": completed,
-                "failures": failures,
-                "degraded": degraded,
-                "wall_seconds": round(wall, 3),
-                "throughput_jobs_per_s":
-                    round(completed / wall, 3) if wall else 0.0,
-                # None (JSON null) when nothing completed: an all-shed
-                # pass has no latency, not a flattering 0.0 ms one.
-                "latency_ms": {
-                    "p50": _round_ms(percentile(latencies, 0.50)),
-                    "p95": _round_ms(percentile(latencies, 0.95)),
-                    "p99": _round_ms(percentile(latencies, 0.99)),
-                },
-                "sheds": sheds,
-                "shed_rate": round(sheds / submissions, 4)
-                    if submissions else 0.0,
-                "cached_jobs": sum(1 for record in records
-                                   if record.get("cached")),
-            })
-            p95 = pass_records[-1]["latency_ms"]["p95"]
+            all_pass_cells.append(_cells_of(records))
+            pass_records.append(pass_record)
+            p95 = pass_record["latency_ms"]["p95"]
             announce(f"loadtest: pass {pass_index + 1}/{passes} - "
-                     f"{pass_records[-1]['throughput_jobs_per_s']} "
+                     f"{pass_record['throughput_jobs_per_s']} "
                      f"jobs/s, p95 "
                      f"{'n/a' if p95 is None else format(p95, '.0f')} "
-                     f"ms, {sheds} shed(s)"
-                     + (f", DEGRADED ({completed}/{len(requests)} "
-                        f"completed)" if degraded else ""))
+                     f"ms, {pass_record['sheds']} shed(s)"
+                     + (f", DEGRADED ({pass_record['completed']}/"
+                        f"{len(requests)} completed)"
+                        if pass_record["degraded"] else ""))
 
         metrics_text = ServiceClient(url, client_id="loadtest").metrics()
         cache_hits = _scrape_counter(metrics_text,

@@ -1,49 +1,33 @@
-"""Async job scheduler: admission control over the process-pool engine.
+"""The service backend of job control: jobs run on a local process pool.
 
-The scheduler is the service's brain.  It owns a priority backlog of
-validated jobs, a ``ProcessPoolExecutor`` (the same engine
-:func:`repro.experiments.runner.execute_many` fans matrices over) and
-the bookkeeping that keeps a multi-client deployment healthy:
+:class:`Scheduler` is a :class:`~repro.service.control.JobControl`:
+admission, the job table, the drain and ``/metrics`` come from there.
+What this module adds is the execution side, over a
+``ProcessPoolExecutor`` (the same engine
+:func:`repro.experiments.runner.execute_many` fans matrices over):
 
-* **Admission control** - requests are validated, then checked against
-  the *result store* (a completed identical job short-circuits without
-  touching the pool), *in-flight dedup* (an identical queued/running
-  job absorbs the submission), the *per-client quota* and the *bounded
-  backlog*.  Quota/backlog rejections are load sheds: HTTP 429 with a
-  ``Retry-After`` estimated from the observed job-latency histogram and
-  current backlog - the client backoff honours it, turning overload
-  into queueing delay instead of collapse (cf. Carroll & Lin's queuing
-  model of service stations: a finite buffer plus calibrated retry is
-  what keeps the station stable past saturation).
-* **Execution** - one asyncio worker task per pool slot pulls the
-  lowest-``(priority, seq)`` job and runs its cells through the pool,
-  checking the job deadline and cancellation flag between cells.
+* **Execution** - admitted jobs wait in a priority backlog; one asyncio
+  worker task per pool slot pulls the lowest-``(priority, seq)`` job and
+  runs its cells through the pool, checking the job deadline and
+  cancellation flag between cells.
 * **Failure containment** - a worker-process crash surfaces as
   ``BrokenProcessPool``; the pool is rebuilt and the job requeued with
   a bounded retry budget.  Per-job timeouts fail the job (an
   already-running cell cannot be interrupted mid-simulation; its slot
   frees when the cell finishes, which the timeout bounds indirectly).
-* **Graceful drain** - :meth:`Scheduler.shutdown` stops admission,
-  lets running jobs finish within ``drain_timeout``, cancels the
-  backlog, and tears the pool down with the same
-  :func:`~repro.experiments.runner.shutdown_pool` helper the CLI's
+* **Teardown** - after the shared drain, the pool is torn down with the
+  same :func:`~repro.experiments.runner.shutdown_pool` helper the CLI's
   Ctrl-C path uses, so no worker process is ever orphaned.
-
-All counters and histograms live in a PR-4
-:class:`~repro.obs.registry.ObsRegistry`; :func:`prometheus_text`
-renders them (plus live gauges) in Prometheus text format for the
-``/metrics`` endpoint.
 """
 
 from __future__ import annotations
 
 import asyncio
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.experiments.runner import (
     RunResult,
@@ -53,77 +37,35 @@ from repro.experiments.runner import (
 )
 from repro.obs.registry import ObsRegistry
 from repro.service import jobs as jobmodel
-from repro.service.jobs import Job, JobValidationError
+from repro.service.control import ControlConfig, JobControl
+from repro.service.jobs import Job
 from repro.service.store import ResultStore
 
 
 @dataclass(frozen=True)
-class SchedulerConfig:
+class SchedulerConfig(ControlConfig):
     """Deployment knobs of one scheduler instance."""
 
     #: Pool worker processes == concurrently running jobs.
     workers: int = 2
-    #: Queued (not yet running) jobs admitted before load shedding.
-    max_backlog: int = 64
-    #: Queued+running jobs one client may hold before shedding.
-    per_client_quota: int = 16
-    #: Wall-clock budget of one job, cells included (seconds).
-    job_timeout: float = 600.0
-    #: Requeues granted after worker-process crashes before failing.
-    retry_budget: int = 2
-    #: How long shutdown waits for running jobs to finish (seconds).
-    drain_timeout: float = 30.0
-    #: Floor of the Retry-After hint handed to shed clients (seconds).
-    min_retry_after: int = 1
-    #: Ceiling of the Retry-After hint (seconds).
-    max_retry_after: int = 60
-    #: Run the store's bulk eviction every N submissions (0 = never).
-    evict_every: int = 64
 
 
-@dataclass
-class Admission:
-    """Outcome of one submission attempt (maps onto the HTTP reply)."""
-
-    status: int                     # 200 cached, 202 accepted, 4xx/503
-    job: Optional[Job] = None
-    error: Optional[str] = None
-    retry_after: Optional[int] = None
-    deduped: bool = False
-    cached: bool = False
-
-    @property
-    def accepted(self) -> bool:
-        return self.job is not None
-
-
-class Scheduler:
-    """Admission control + priority backlog + pool execution."""
+class Scheduler(JobControl):
+    """Job control whose jobs run on a local process pool."""
 
     def __init__(self, config: Optional[SchedulerConfig] = None,
                  store: Optional[ResultStore] = None,
                  registry: Optional[ObsRegistry] = None,
                  cell_runner: Callable[[RunSpec], RunResult] = execute,
                  ) -> None:
-        self.config = config or SchedulerConfig()
+        super().__init__(config or SchedulerConfig(), store, registry)
         if self.config.workers < 1:
             raise ValueError("SchedulerConfig.workers must be >= 1")
-        self.store = store
-        self.registry = registry or ObsRegistry()
-        self.jobs: Dict[str, Job] = {}
         self._cell_runner = cell_runner
-        self._by_key: Dict[str, Job] = {}
-        self._client_active: Dict[str, int] = {}
         self._queue: "asyncio.PriorityQueue" = asyncio.PriorityQueue()
-        self._queued = 0
-        self._running = 0
         self._seq = 0
-        self._submissions = 0
-        self._accepting = True
-        self._draining = False
         self._pool: Optional[ProcessPoolExecutor] = None
         self._workers: List["asyncio.Task"] = []
-        self.started_at = time.time()
 
     # -- lifecycle -------------------------------------------------------
 
@@ -140,18 +82,7 @@ class Scheduler:
     def _make_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(max_workers=self.config.workers)
 
-    async def shutdown(self, drain: bool = True) -> None:
-        """Stop admission, drain in-flight jobs, reap every worker."""
-        self._accepting = False
-        self._draining = True
-        if drain:
-            deadline = time.monotonic() + self.config.drain_timeout
-            while self._running and time.monotonic() < deadline:
-                await asyncio.sleep(0.02)
-        for job in list(self.jobs.values()):
-            if job.state == jobmodel.QUEUED:
-                self._finish(job, jobmodel.CANCELLED,
-                             error="server shutting down", queued=True)
+    async def _stop_tasks(self) -> None:
         for task in self._workers:
             task.cancel()
         if self._workers:
@@ -162,146 +93,20 @@ class Scheduler:
             # cells cancelled, running workers joined, nothing orphaned.
             shutdown_pool(self._pool)
             self._pool = None
-        if self.store is not None:
-            # Disk-backed eviction scans the store directory; keep the
-            # event loop responsive by pushing it to a worker thread.
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.store.evict_expired)
 
-    # -- admission -------------------------------------------------------
+    # -- backend contract ------------------------------------------------
 
-    def submit(self, payload: object, client: str = "anonymous"
-               ) -> Admission:
-        """Admit (or shed) one job submission.  Synchronous: every
-        decision is made from in-memory state plus one store lookup."""
-        self._submissions += 1
-        if (self.store is not None and self.config.evict_every
-                and self._submissions % self.config.evict_every == 0):
-            self.store.evict_expired()
-        if not self._accepting:
-            self.registry.count("admission_shed_total")
-            return Admission(status=503, error="server is draining",
-                             retry_after=self.config.max_retry_after)
-        try:
-            request = jobmodel.parse_request(payload)
-        except JobValidationError as exc:
-            self.registry.count("jobs_rejected_total")
-            return Admission(status=400, error=str(exc))
-        key = jobmodel.job_key(request)
-
-        # Completed-result short circuit: identical work already done.
-        if self.store is not None:
-            stored = self.store.get(key)
-            if stored is not None:
-                self.registry.count("result_cache_hits_total")
-                job = self._attach(request, key, client)
-                job.cached = True
-                job.started_at = job.submitted_at
-                self._finish(job, jobmodel.DONE, result=stored,
-                             queued=False, account_client=False)
-                return Admission(status=200, job=job, cached=True)
-
-        # In-flight dedup: fold into the identical queued/running job.
-        existing = self._by_key.get(key)
-        if (existing is not None and not existing.terminal
-                and not existing.cancel_requested):
-            existing.deduped += 1
-            self.registry.count("dedup_hits_total")
-            return Admission(status=202, job=existing, deduped=True)
-
-        # Load shedding: per-client quota, then global backlog bound.
-        active = self._client_active.get(client, 0)
-        if active >= self.config.per_client_quota:
-            self.registry.count("admission_shed_total")
-            self.registry.count("quota_shed_total")
-            return Admission(
-                status=429,
-                error=f"client {client!r} already has {active} active "
-                      f"job(s) (quota {self.config.per_client_quota})",
-                retry_after=self.retry_after_hint())
-        if self._queued >= self.config.max_backlog:
-            self.registry.count("admission_shed_total")
-            self.registry.count("backlog_shed_total")
-            return Admission(
-                status=429,
-                error=f"backlog full ({self._queued} job(s) queued, "
-                      f"bound {self.config.max_backlog})",
-                retry_after=self.retry_after_hint())
-
-        job = self._attach(request, key, client)
-        self._by_key[key] = job
-        self._client_active[client] = active + 1
-        self._enqueue(job)
-        self.registry.count("jobs_submitted_total")
+    def _launch(self, job: Job) -> None:
+        self._push(job)
         self.registry.sample("queue_depth", self._queued)
-        self.registry.sample("cells_per_job", request.num_cells)
-        return Admission(status=202, job=job)
+        self.registry.sample("cells_per_job", job.request.num_cells)
 
-    def _attach(self, request: jobmodel.JobRequest, key: str,
-                client: str) -> Job:
-        job = Job(id=jobmodel.new_job_id(), key=key, request=request,
-                  client=client, submitted_at=time.time())
-        self.jobs[job.id] = job
-        return job
-
-    def _enqueue(self, job: Job) -> None:
-        job.state = jobmodel.QUEUED
+    def _push(self, job: Job) -> None:
         self._seq += 1
-        self._queued += 1
         self._queue.put_nowait((job.priority, self._seq, job))
 
-    def retry_after_hint(self) -> int:
-        """Seconds a shed client should wait: the estimated time for the
-        backlog to drain one slot, from the observed latency mean."""
-        latency = self.registry.histograms.get("job_latency_ms")
-        mean_ms = latency.mean if latency is not None else 0.0
-        if mean_ms <= 0:
-            return self.config.min_retry_after
-        waves = math.ceil((self._queued + 1) / self.config.workers)
-        estimate = math.ceil(waves * mean_ms / 1000.0)
-        return max(self.config.min_retry_after,
-                   min(self.config.max_retry_after, estimate))
-
-    # -- queries ---------------------------------------------------------
-
-    def get(self, job_id: str) -> Optional[Job]:
-        return self.jobs.get(job_id)
-
-    def cancel(self, job_id: str) -> Optional[bool]:
-        """Cancel a job.  True if the cancel took hold (queued job
-        removed, or running job flagged to stop at the next cell
-        boundary), False if already terminal, None if unknown."""
-        job = self.jobs.get(job_id)
-        if job is None:
-            return None
-        if job.state == jobmodel.QUEUED:
-            self._finish(job, jobmodel.CANCELLED, error="cancelled by "
-                         "client", queued=True)
-            return True
-        if job.state == jobmodel.RUNNING:
-            job.cancel_requested = True
-            return True
-        return False
-
-    @property
-    def queued(self) -> int:
-        return self._queued
-
-    @property
-    def running(self) -> int:
-        return self._running
-
-    @property
-    def accepting(self) -> bool:
-        return self._accepting
-
-    def counts(self) -> Dict[str, int]:
-        states: Dict[str, int] = {state: 0 for state in (
-            jobmodel.QUEUED, jobmodel.RUNNING, jobmodel.DONE,
-            jobmodel.FAILED, jobmodel.CANCELLED)}
-        for job in self.jobs.values():
-            states[job.state] = states.get(job.state, 0) + 1
-        return states
+    def _slots(self) -> int:
+        return self.config.workers
 
     # -- execution -------------------------------------------------------
 
@@ -312,15 +117,13 @@ class Scheduler:
                 continue  # tombstone of a cancelled queued job
             if self._draining:
                 self._finish(job, jobmodel.CANCELLED,
-                             error="server shutting down", queued=True)
+                             error="server shutting down")
                 continue
             await self._run_job(job)
 
     async def _run_job(self, job: Job) -> None:
         loop = asyncio.get_running_loop()
-        self._queued -= 1
-        self._running += 1
-        job.state = jobmodel.RUNNING
+        self._to_running(job)
         job.started_at = time.time()
         job.attempts += 1
         started = time.monotonic()
@@ -355,7 +158,7 @@ class Scheduler:
                     None, self.store.put, job.key, payload)
             self._finish(job, jobmodel.DONE, result=payload)
             self.registry.sample(
-                "job_latency_ms",
+                self.latency_histogram,
                 max(1, round((time.monotonic() - started) * 1000.0)))
         except asyncio.CancelledError:
             # Drain timeout expired with this job still running: record
@@ -390,107 +193,10 @@ class Scheduler:
         self.registry.count("worker_crash_requeues_total")
         job.notes.append(
             f"attempt {job.attempts} crashed a worker; requeued")
-        self._running -= 1
-        self._enqueue(job)
-
-    # -- terminal bookkeeping --------------------------------------------
-
-    def _finish(self, job: Job, state: str, result: Optional[Dict] = None,
-                error: Optional[str] = None, queued: bool = False,
-                account_client: bool = True) -> None:
-        """Move a job to a terminal state exactly once, releasing its
-        queue slot (``queued=True``), run slot, quota share and dedup
-        key."""
-        if job.terminal:
-            return
-        was_running = job.state == jobmodel.RUNNING
-        job.state = state
-        job.result = result
-        job.error = error
-        job.finished_at = time.time()
-        if job.started_at is not None:
-            job.latency_ms = (job.finished_at - job.submitted_at) * 1000.0
-        if queued:
-            self._queued -= 1
-        elif was_running:
-            self._running -= 1
-        if self._by_key.get(job.key) is job:
-            del self._by_key[job.key]
-        if account_client and (queued or was_running):
-            active = self._client_active.get(job.client, 0)
-            if active <= 1:
-                self._client_active.pop(job.client, None)
-            else:
-                self._client_active[job.client] = active - 1
-        self.registry.count(f"jobs_{state}_total")
-
-
-# -- Prometheus rendering ------------------------------------------------
-
-_QUANTILES = (0.5, 0.95, 0.99)
-
-
-def _histogram_quantile(bins: Dict[int, int], q: float) -> int:
-    total = sum(bins.values())
-    if not total:
-        return 0
-    threshold = q * total
-    seen = 0
-    value = 0
-    for value in sorted(bins):
-        seen += bins[value]
-        if seen >= threshold:
-            return value
-    return value
-
-
-def render_prometheus(registry: ObsRegistry,
-                      gauges: Dict[str, float]) -> str:
-    """Render an ObsRegistry + live gauges as Prometheus text.
-
-    Counters become ``wsrs_<name>`` counters; histograms become
-    quantile-labelled gauges with ``_count``/``_sum`` companions - the
-    conventional scrape shape for precomputed summaries.  Shared by the
-    single-node scheduler and the fleet coordinator, whose ``fleet_*``
-    counter names render as ``wsrs_fleet_*``.
-    """
-    lines: List[str] = []
-    for name in sorted(registry.counters):
-        metric = f"wsrs_{name}"
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {registry.counters[name]}")
-    for metric in sorted(gauges):
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {gauges[metric]}")
-    for name in sorted(registry.histograms):
-        histogram = registry.histograms[name]
-        metric = f"wsrs_{name}"
-        lines.append(f"# TYPE {metric} summary")
-        for q in _QUANTILES:
-            value = _histogram_quantile(histogram.bins, q)
-            lines.append(f'{metric}{{quantile="{q}"}} {value}')
-        lines.append(f"{metric}_count {histogram.total_weight}")
-        total = sum(value * weight
-                    for value, weight in histogram.bins.items())
-        lines.append(f"{metric}_sum {total}")
-    return "\n".join(lines) + "\n"
-
-
-def store_gauges(store: Optional[ResultStore]) -> Dict[str, float]:
-    """The result-store gauges shared by scheduler and coordinator."""
-    if store is None:
-        return {}
-    return {"wsrs_result_store_entries": len(store),
-            "wsrs_result_store_evictions_total": store.evictions}
+        self._to_queued(job)
+        self._push(job)
 
 
 def prometheus_text(scheduler: Scheduler) -> str:
     """The single-node scheduler's ``/metrics`` body."""
-    gauges: Dict[str, float] = {
-        "wsrs_queue_depth": scheduler.queued,
-        "wsrs_jobs_running": scheduler.running,
-        "wsrs_accepting": int(scheduler.accepting),
-        "wsrs_uptime_seconds": round(time.time() - scheduler.started_at, 3),
-    }
-    gauges.update(store_gauges(scheduler.store))
-    return render_prometheus(scheduler.registry, gauges)
+    return scheduler.metrics_text()

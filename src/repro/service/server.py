@@ -16,20 +16,22 @@ close``), JSON in and out.  The API surface:
                                jobs stop at the next cell boundary
 ``GET /healthz``               liveness + state counts
 ``GET /metrics``               Prometheus text format, fed from the
-                               scheduler's ObsRegistry
+                               job control's ObsRegistry
 =============================  =========================================
 
 The client id used for quota accounting comes from the ``X-Client``
 header (falling back to a ``client`` field in the body, then
 ``anonymous``).
 
-:func:`serve` is the blocking ``wsrs serve`` entry point: it installs
-SIGINT/SIGTERM handlers that stop the listener and *drain* the
-scheduler - running jobs finish, the backlog is cancelled, the worker
-pool is reaped - before the process exits.  :class:`EmbeddedServer`
-runs the same stack on a background thread with an OS-assigned port,
-which is how the load tester and the test-suite spin up a live server
-in-process.
+:class:`ServiceServer` fronts any :class:`~repro.service.control
+.JobControl`; the fleet's coordinator server is a subclass that adds its
+``/v1/fleet`` routes.  :func:`serve` is the blocking ``wsrs serve``
+entry point: it installs SIGINT/SIGTERM handlers that stop the listener
+and *drain* job control - running jobs finish, the backlog is
+cancelled, the worker pool is reaped - before the process exits.
+:class:`EmbeddedServer` runs the same stack on a background thread with
+an OS-assigned port, which is how the load tester, the local fleet and
+the test-suite spin up a live server in-process.
 """
 
 from __future__ import annotations
@@ -40,13 +42,8 @@ import signal
 import threading
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.service.jobs import Job
-from repro.service.scheduler import (
-    Admission,
-    Scheduler,
-    SchedulerConfig,
-    prometheus_text,
-)
+from repro.service.control import JobControl
+from repro.service.scheduler import Scheduler, SchedulerConfig
 from repro.service.store import DEFAULT_TTL_SECONDS, ResultStore
 
 #: Largest accepted request body (a job request is tiny; anything bigger
@@ -74,9 +71,7 @@ async def _read_request(reader: asyncio.StreamReader
                         ) -> Tuple[str, str, Dict[str, str], bytes]:
     """Parse one HTTP/1.1 request into (method, target, headers, body).
 
-    Shared by the service server and the fleet coordinator server (which
-    routes asynchronously).  Raises :class:`_BadRequest` on malformed or
-    oversized input.
+    Raises :class:`_BadRequest` on malformed or oversized input.
     """
     try:
         request_line = await asyncio.wait_for(reader.readline(),
@@ -104,11 +99,14 @@ async def _read_request(reader: asyncio.StreamReader
 
 
 class ServiceServer:
-    """One listening socket routing requests into a :class:`Scheduler`."""
+    """One listening socket routing requests into job control."""
 
-    def __init__(self, scheduler: Scheduler, host: str = "127.0.0.1",
+    #: How the server names itself in its log lines.
+    name = "wsrs service"
+
+    def __init__(self, control: JobControl, host: str = "127.0.0.1",
                  port: int = 0) -> None:
-        self.scheduler = scheduler
+        self.control = control
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
@@ -133,11 +131,15 @@ class ServiceServer:
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         try:
-            status, payload, extra = await self._respond(reader)
+            method, target, headers, body = await _read_request(reader)
+            status, payload, extra = self.route(method, target, headers,
+                                                body)
+        except _BadRequest as bad:
+            status, payload, extra = bad.status, {"error": bad.message}, {}
         except Exception as exc:  # defensive: a handler bug must not
             # take the server down with the connection
-            status, payload, extra = 500, {"error": f"internal error: "
-                                                    f"{type(exc).__name__}"}, {}
+            status, payload, extra = 500, {
+                "error": f"internal error: {type(exc).__name__}"}, {}
         try:
             writer.write(_render_response(status, payload, extra))
             await writer.drain()
@@ -149,14 +151,6 @@ class ServiceServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-
-    async def _respond(self, reader: asyncio.StreamReader
-                       ) -> Tuple[int, object, Dict[str, str]]:
-        try:
-            method, target, headers, body = await _read_request(reader)
-        except _BadRequest as bad:
-            return bad.status, {"error": bad.message}, {}
-        return self.route(method, target, headers, body)
 
     # -- routing ---------------------------------------------------------
 
@@ -170,7 +164,7 @@ class ServiceServer:
         if path == "/metrics":
             if method != "GET":
                 return 405, {"error": "metrics is GET-only"}, {}
-            return 200, prometheus_text(self.scheduler), \
+            return 200, self.control.metrics_text(), \
                 {"Content-Type": "text/plain; version=0.0.4"}
         if path == "/v1/jobs":
             if method != "POST":
@@ -186,14 +180,14 @@ class ServiceServer:
         return 404, {"error": f"no route for {path!r}"}, {}
 
     def _healthz(self) -> Dict:
-        scheduler = self.scheduler
+        control = self.control
         return {
-            "status": "ok" if scheduler.accepting else "draining",
-            "queued": scheduler.queued,
-            "running": scheduler.running,
-            "jobs": scheduler.counts(),
-            "store": (scheduler.store.stats()
-                      if scheduler.store is not None else None),
+            "status": "ok" if control.accepting else "draining",
+            "queued": control.queued,
+            "running": control.running,
+            "jobs": control.counts(),
+            "store": (control.store.stats()
+                      if control.store is not None else None),
         }
 
     def _submit(self, headers: Dict[str, str], body: bytes
@@ -205,12 +199,7 @@ class ServiceServer:
         client = headers.get("x-client") or (
             payload.get("client") if isinstance(payload, dict) else None
         ) or "anonymous"
-        admission = self.scheduler.submit(payload, client=client)
-        return self._admission_response(admission)
-
-    @staticmethod
-    def _admission_response(admission: Admission
-                            ) -> Tuple[int, object, Dict[str, str]]:
+        admission = self.control.submit(payload, client=client)
         if not admission.accepted:
             record: Dict[str, object] = {"error": admission.error}
             extra: Dict[str, str] = {}
@@ -225,16 +214,16 @@ class ServiceServer:
             "Location": f"/v1/jobs/{job.id}"}
 
     def _status(self, job_id: str) -> Tuple[int, object, Dict[str, str]]:
-        job: Optional[Job] = self.scheduler.get(job_id)
+        job = self.control.get(job_id)
         if job is None:
             return 404, {"error": f"no job {job_id!r}"}, {}
         return 200, job.as_dict(), {}
 
     def _cancel(self, job_id: str) -> Tuple[int, object, Dict[str, str]]:
-        outcome = self.scheduler.cancel(job_id)
+        outcome = self.control.cancel(job_id)
         if outcome is None:
             return 404, {"error": f"no job {job_id!r}"}, {}
-        job = self.scheduler.get(job_id)
+        job = self.control.get(job_id)
         return 200, {"id": job_id, "cancelled": outcome,
                      "state": job.state if job else None}, {}
 
@@ -276,12 +265,11 @@ def build_scheduler(workers: int = 2, backlog: int = 64, quota: int = 16,
     return Scheduler(config=config, store=store, **kwargs)
 
 
-async def _amain(scheduler: Scheduler, host: str, port: int,
+async def _amain(server: ServiceServer,
                  ready: Optional[Callable[[ServiceServer], None]] = None,
                  stop_event: Optional[asyncio.Event] = None,
                  announce: Callable[[str], None] = print) -> None:
-    await scheduler.start()
-    server = ServiceServer(scheduler, host=host, port=port)
+    await server.control.start()
     await server.start()
     stop = stop_event or asyncio.Event()
     loop = asyncio.get_running_loop()
@@ -290,41 +278,50 @@ async def _amain(scheduler: Scheduler, host: str, port: int,
             loop.add_signal_handler(signum, stop.set)
         except (NotImplementedError, RuntimeError, ValueError):
             pass  # non-main thread or unsupported platform
-    announce(f"wsrs service listening on {server.url}")
+    announce(f"{server.name} listening on {server.url}")
     if ready is not None:
         ready(server)
     try:
         await stop.wait()
     finally:
-        announce("wsrs service draining (in-flight jobs finishing)...")
+        announce(f"{server.name} draining (in-flight jobs finishing)...")
         await server.stop()
-        await scheduler.shutdown(drain=True)
-        announce("wsrs service stopped")
+        await server.control.shutdown(drain=True)
+        announce(f"{server.name} stopped")
+
+
+def run_until_signalled(server: ServiceServer,
+                        announce: Callable[[str], None] = print) -> int:
+    """Run ``server`` until SIGINT/SIGTERM; returns a process exit code."""
+    try:
+        asyncio.run(_amain(server, announce=announce))
+    except KeyboardInterrupt:
+        pass  # drain already ran via the signal handler where possible
+    return 0
 
 
 def serve(host: str = "127.0.0.1", port: int = 8787,
           scheduler: Optional[Scheduler] = None,
           announce: Callable[[str], None] = print) -> int:
     """Run the service until SIGINT/SIGTERM; returns a process exit code."""
-    scheduler = scheduler or build_scheduler()
-    try:
-        asyncio.run(_amain(scheduler, host, port, announce=announce))
-    except KeyboardInterrupt:
-        pass  # drain already ran via the signal handler where possible
-    return 0
+    server = ServiceServer(scheduler or build_scheduler(), host, port)
+    return run_until_signalled(server, announce)
 
 
 class EmbeddedServer:
-    """The full service stack on a daemon thread (tests + load tester).
+    """A full server stack on a daemon thread (tests, load tester, local
+    fleet).
 
     ``start()`` blocks until the listener is bound and returns the base
     URL (an OS-assigned port by default); ``stop()`` performs the same
     graceful drain as the signal path and joins the thread.
     """
 
-    def __init__(self, scheduler: Optional[Scheduler] = None,
+    server_class = ServiceServer
+
+    def __init__(self, scheduler: Optional[JobControl] = None,
                  host: str = "127.0.0.1", port: int = 0) -> None:
-        self.scheduler = scheduler or build_scheduler()
+        self.control = scheduler or build_scheduler()
         self.host = host
         self.port = port
         self.url: Optional[str] = None
@@ -339,9 +336,9 @@ class EmbeddedServer:
                                         name="wsrs-embedded-server")
         self._thread.start()
         if not self._ready.wait(timeout):
-            raise RuntimeError("embedded service failed to start in time")
+            raise RuntimeError("embedded server failed to start in time")
         if self._startup_error is not None:
-            raise RuntimeError("embedded service failed to start") \
+            raise RuntimeError("embedded server failed to start") \
                 from self._startup_error
         assert self.url is not None
         return self.url
@@ -356,8 +353,8 @@ class EmbeddedServer:
                 self.port = server.port
                 self._ready.set()
 
-            await _amain(self.scheduler, self.host, self.port,
-                         ready=ready, stop_event=self._stop_event,
+            server = self.server_class(self.control, self.host, self.port)
+            await _amain(server, ready=ready, stop_event=self._stop_event,
                          announce=lambda _message: None)
 
         try:
