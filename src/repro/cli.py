@@ -47,6 +47,7 @@ import sys
 from typing import List, Optional
 
 from repro.config import config_by_name, figure4_configs
+from repro.core.specialize import DEFAULT_GEAR, GEARS
 from repro.trace.profiles import ALL_BENCHMARKS, PROFILES
 
 
@@ -56,6 +57,20 @@ def _worker_count(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"workers must be >= 1, got {value}")
     return value
+
+
+def _add_gear_arguments(parser: argparse.ArgumentParser) -> None:
+    """``--gear`` plus its ``--reference`` shorthand, both into ``gear``."""
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--gear", default=DEFAULT_GEAR, choices=GEARS,
+                       help="main-loop gear: reference per-cycle stepper, "
+                            "event-horizon fast path, or the config-"
+                            "specialized stepper (the default; falls back "
+                            "to the generic gears when its guards block; "
+                            "statistics are bit-identical either way)")
+    group.add_argument("--reference", dest="gear", action="store_const",
+                       const="reference",
+                       help="shorthand for --gear reference")
 
 
 def _add_slice_arguments(parser: argparse.ArgumentParser) -> None:
@@ -112,15 +127,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.experiments.runner import RunSpec, execute
 
     config = config_by_name(args.config)
-    gear = args.gear
-    if gear is None and args.reference:
-        gear = "reference"
     spec = RunSpec(config=config, benchmark=args.benchmark,
                    measure=args.measure, warmup=args.warmup,
                    seed=args.seed, sanitize=args.sanitize,
                    check_invariants=args.paranoid,
-                   fast_path=not args.reference,
-                   observe=args.observe, gear=gear)
+                   observe=args.observe, gear=args.gear)
     result = execute(spec)
     stats = result.stats
     print(f"benchmark        {args.benchmark}")
@@ -178,8 +189,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         processor = Processor(config, trace,
                               predictor=make_predictor("2bcgskew"),
                               check_invariants=False,
-                              fast_path=not args.reference,
-                              tracer=tracer)
+                              gear=args.gear, tracer=tracer)
         stats = processor.run(measure=args.measure, warmup=args.warmup)
         tracer.close(stats)
     print(f"wrote {tracer.events_written} events to {args.out}")
@@ -606,17 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--paranoid", action="store_true",
                     help="enable per-uop read-legality assertions "
                          "(check_invariants; off by default)")
-    ps.add_argument("--reference", action="store_true",
-                    help="force the reference per-cycle stepper instead "
-                         "of the event-horizon fast path")
-    ps.add_argument("--gear", default=None,
-                    choices=["reference", "horizon", "specialized"],
-                    help="main-loop gear: reference per-cycle stepper, "
-                         "event-horizon fast path, or the config-"
-                         "specialized stepper (falls back to the generic "
-                         "gears when its guards block; statistics are "
-                         "bit-identical either way).  Overrides "
-                         "--reference")
+    _add_gear_arguments(ps)
     ps.add_argument("--observe", action="store_true",
                     help="attach the observability layer (repro.obs) and "
                          "print the run's CPI stack; statistics stay "
@@ -711,8 +711,12 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--measure", type=int, default=20_000)
     pe.add_argument("--warmup", type=int, default=0)
     pe.add_argument("--seed", type=int, default=1)
-    pe.add_argument("--reference", action="store_true",
+    # A tracer attaches an observer, which blocks the specialized gear,
+    # so a traced run is a horizon run unless asked for the reference.
+    pe.add_argument("--reference", dest="gear", action="store_const",
+                    const="reference",
                     help="trace under the reference per-cycle stepper")
+    pe.set_defaults(gear="horizon")
     pe.add_argument("--trace-start", type=int, default=0, metavar="CYCLE",
                     help="first sampled cycle")
     pe.add_argument("--trace-window", type=int, default=None, metavar="N",

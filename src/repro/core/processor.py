@@ -27,21 +27,25 @@ Wrong-path instructions are not simulated: a mispredicted branch stops
 instruction delivery until ``resolution_cycle + minimum_penalty``, which is
 the paper's own level of abstraction for the front end.
 
-The main loop has three gears.  The reference stepper
-(:meth:`Processor.step`) advances one cycle at a time; the *event-horizon*
-fast path (``fast_path=True``, the default) detects cycles where the
-machine provably does nothing - commit idle, no scheduler entry awake,
-rename stalled on a branch-penalty window, a full ROB/cluster, or an
-exhausted trace - and jumps ``cycle`` straight to the next event (earliest
-scheduler wake-up, the ROB head's completion, the rename-unblock cycle, a
-multiply/divide unit release), bulk-charging the per-cycle stall counters
-for the skipped range.  The third gear (``gear="specialized"``,
+The main loop has three gears, chosen by the ``gear`` argument (the one
+selector).  The reference stepper (``gear="reference"``,
+:meth:`Processor.step`) advances one cycle at a time.  The *event-horizon*
+gear (``gear="horizon"``) detects cycles where the machine provably does
+nothing - commit idle, no scheduler entry awake, rename stalled on a
+branch-penalty window, a full ROB/cluster, or an exhausted trace - and
+jumps ``cycle`` straight to the next event (earliest scheduler wake-up,
+the ROB head's completion, the rename-unblock cycle, a multiply/divide
+unit release), bulk-charging the per-cycle stall counters for the skipped
+range.  The default gear (``gear="specialized"``,
 :mod:`repro.core.specialize`) compiles a run loop specialized to the
 frozen configuration - constants baked in, per-cycle dispatch flattened,
-the event-horizon jump inlined - and falls back to the generic gears
-mid-run when a guard condition (a deadlock-breaking move) leaves the
-specialized envelope.  Every statistic is bit-identical across all three
-gears; see ``docs/architecture.md`` ("Performance") for the argument.
+the event-horizon jump inlined.  Its entry guards keep sanitized,
+observed, ``rename_impl=1`` and paranoid processors on the horizon gear,
+and it falls back mid-run when a guard condition (a deadlock-breaking
+move) leaves the specialized envelope; :attr:`Processor.gear` reports
+the gear that actually engaged.  Every statistic is bit-identical across
+all three gears; see ``docs/architecture.md`` ("Performance") for the
+argument.
 
 Typical use::
 
@@ -63,6 +67,11 @@ from repro.allocation.policies import make_allocator
 from repro.config import MachineConfig
 from repro.core.issue_queue import ClusterScheduler
 from repro.core.lsq import MemoryOrderQueue
+from repro.core.specialize import (
+    DEFAULT_GEAR,
+    GEARS,
+    build_specialized_runner,
+)
 from repro.core.stats import SimulationStats
 from repro.core.uop import UNKNOWN_CYCLE, InFlightUop
 from repro.errors import ConfigError, ReproError
@@ -96,30 +105,21 @@ class Processor:
         predictor: Optional[BranchPredictor] = None,
         check_invariants: bool = True,
         sanitize: Optional[bool] = None,
-        fast_path: bool = True,
         observe: bool = False,
         tracer=None,
-        gear: Optional[str] = None,
+        gear: str = DEFAULT_GEAR,
     ) -> None:
         config.validate()
+        if gear not in GEARS:
+            raise ConfigError(
+                f"unknown gear {gear!r}; expected one of {GEARS}")
         self.config = config
         self.check_invariants = check_invariants
-        # Gear selection: ``gear`` is the explicit three-speed knob
-        # ("reference" | "horizon" | "specialized"); when omitted the
-        # legacy ``fast_path`` flag picks between the first two.
-        if gear is not None:
-            from repro.core.specialize import GEARS
-
-            if gear not in GEARS:
-                raise ConfigError(
-                    f"unknown gear {gear!r}; expected one of {GEARS}")
-            fast_path = gear != "reference"
-        self.requested_gear = gear
         # Implementation-1 renaming stages/recycles registers every cycle
         # even when nothing renames, so its free-list state is not
         # invariant across a dead-cycle window: the event horizon only
         # engages for the cycle-invariant implementation 2.
-        self.fast_path = fast_path and config.rename_impl != 1
+        self._jumps = gear != "reference" and config.rename_impl != 1
         #: Event-horizon instrumentation (diagnostics only - deliberately
         #: not part of :class:`SimulationStats`, whose counters stay
         #: bit-identical between the two cores).
@@ -221,16 +221,19 @@ class Processor:
         # rename_impl=1, paranoid WSRS checking) silently keep the
         # generic gears - the ``gear`` attribute reports what actually
         # engaged.  ``despecializations`` counts mid-run guard trips.
+        # The stepper is a plain function called with ``self``, so the
+        # processor holds no closure over itself (no reference cycle
+        # keeping a finished machine alive until a full collection).
         self._specialized_run = None
         self.despecializations = 0
         if gear == "specialized":
-            from repro.core.specialize import build_specialized_runner
-
             self._specialized_run = build_specialized_runner(self)
-        if self._specialized_run is not None:
-            self.gear = "specialized"
-        else:
-            self.gear = "horizon" if self.fast_path else "reference"
+        self.gear = ("specialized" if self._specialized_run is not None
+                     else self._generic_gear())
+
+    def _generic_gear(self) -> str:
+        """The gear the generic loop runs: horizon unless jumps are off."""
+        return "horizon" if self._jumps else "reference"
 
     # ------------------------------------------------------------------
     # main loop
@@ -262,7 +265,7 @@ class Processor:
         # threshold is exactly the historical cycle-based one.
         runner = self._specialized_run
         if runner is not None:
-            if runner(committed_target):
+            if runner(self, committed_target):
                 return
             # A specialization guard tripped (deadlock-breaking move):
             # the specialized stepper finished the trip cycle with
@@ -271,10 +274,10 @@ class Processor:
             # despecialization is permanent for this processor.
             self._specialized_run = None
             self.despecializations += 1
-            self.gear = "horizon" if self.fast_path else "reference"
+            self.gear = self._generic_gear()
         idle_events = 0
         last_committed = self.stats.committed
-        fast = self.fast_path
+        fast = self._jumps
         while self.stats.committed < committed_target:
             if self.frontend.exhausted and not self._rob:
                 break
@@ -786,14 +789,13 @@ def simulate(
     predictor: Optional[BranchPredictor] = None,
     check_invariants: bool = True,
     sanitize: Optional[bool] = None,
-    fast_path: bool = True,
     observe: bool = False,
     tracer=None,
-    gear: Optional[str] = None,
+    gear: str = DEFAULT_GEAR,
 ) -> SimulationStats:
     """One-call convenience wrapper around :class:`Processor`."""
     processor = Processor(config, trace, predictor=predictor,
                           check_invariants=check_invariants,
-                          sanitize=sanitize, fast_path=fast_path,
+                          sanitize=sanitize,
                           observe=observe, tracer=tracer, gear=gear)
     return processor.run(measure=measure, warmup=warmup)

@@ -107,7 +107,7 @@ def _stage_breakdown(config: MachineConfig, trace: Sequence,
                      measure: int, warmup: int,
                      top: int = 12) -> Dict:
     """cProfile one event-horizon run and split it into pipeline stages."""
-    processor = Processor(config, iter(trace), fast_path=True)
+    processor = Processor(config, iter(trace), gear="horizon")
     profiler = cProfile.Profile()
     profiler.enable()
     processor.run(measure=measure, warmup=warmup)

@@ -17,9 +17,10 @@ out over a :class:`~concurrent.futures.ProcessPoolExecutor`:
   is a plain in-process loop kept as the determinism-debugging escape
   hatch (one process, one breakpoint, strictly sequential cells);
 * before spawning workers, the parent pre-warms the process-wide trace
-  cache (:mod:`repro.trace.cache`) with every distinct workload of the
-  matrix, so forked workers inherit the materialised traces through
-  copy-on-write pages instead of regenerating them;
+  cache (:mod:`repro.trace.cache`) with the first distinct workloads of
+  the matrix, as many as the cache holds, so forked workers inherit
+  those traces through copy-on-write pages; a matrix with more
+  distinct workloads than that generates the rest in the workers;
 * ``progress(...)`` callbacks stream in the parent as futures complete,
   in completion order; results are reassembled in spec order, so the
   returned structure - and every statistic in it - is bit-identical to
@@ -40,12 +41,14 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
-    Sequence, Set
+    Sequence
 
 from repro.config import MachineConfig
 from repro.core.processor import Processor
+from repro.core.specialize import DEFAULT_GEAR
 from repro.core.stats import SimulationStats
 from repro.frontend.predictors import make_predictor
+from repro.trace import cache as trace_cache
 from repro.trace.cache import cached_spec_trace, default_cache
 
 #: Default measured-slice and warm-up lengths (instructions).
@@ -76,20 +79,16 @@ class RunSpec:
     #: (:mod:`repro.verify.sanitizer`).  ``False`` still honours the
     #: ``WSRS_SANITIZE`` environment switch in the worker process.
     sanitize: bool = False
-    #: Use the event-horizon fast path (bit-identical statistics; see
-    #: :mod:`repro.core.processor`).  ``False`` forces the reference
-    #: per-cycle stepper.
-    fast_path: bool = True
     #: Attach the observability layer (:mod:`repro.obs`): CPI-stack
     #: cycle accounting plus the counter/histogram registry.  The
     #: result then carries :attr:`RunResult.obs`; every statistic stays
     #: bit-identical to an unobserved run.
     observe: bool = False
-    #: Explicit main-loop gear ("reference" | "horizon" | "specialized");
-    #: ``None`` keeps the legacy ``fast_path`` selection between the
-    #: first two.  The specialized gear falls back to the generic loop
-    #: when its guards block or trip (statistics stay bit-identical).
-    gear: Optional[str] = None
+    #: Main-loop gear ("reference" | "horizon" | "specialized"), the
+    #: only gear selector.  The default specialized gear falls back to
+    #: the generic loop when its guards block or trip; statistics are
+    #: bit-identical on every gear (see :mod:`repro.core.processor`).
+    gear: str = DEFAULT_GEAR
 
     @property
     def trace_length(self) -> int:
@@ -106,6 +105,11 @@ class RunResult:
     #: ``obs["causes"]``, registry counters/histograms, steering mirror)
     #: when the spec asked for ``observe=True``; None otherwise.
     obs: Optional[dict] = None
+    #: The gear the cell finished on (``Processor.gear``) and how many
+    #: times its specialized stepper fell back mid-run.  Telemetry only:
+    #: part of neither the statistics nor the service payloads.
+    gear: str = DEFAULT_GEAR
+    despecializations: int = 0
 
     @property
     def ipc(self) -> float:
@@ -175,12 +179,12 @@ def execute(spec: RunSpec) -> RunResult:
                           predictor=make_predictor(spec.predictor),
                           check_invariants=spec.check_invariants,
                           sanitize=True if spec.sanitize else None,
-                          fast_path=spec.fast_path,
                           observe=spec.observe,
                           gear=spec.gear)
     stats = processor.run(measure=spec.measure, warmup=spec.warmup)
     obs = processor.obs.snapshot() if processor.obs is not None else None
-    return RunResult(spec=spec, stats=stats, obs=obs)
+    return RunResult(spec=spec, stats=stats, obs=obs, gear=processor.gear,
+                     despecializations=processor.despecializations)
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -192,21 +196,30 @@ def resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
-def warm_trace_cache(specs: Sequence[RunSpec]) -> int:
-    """Materialise every distinct workload of ``specs`` into the cache.
+def distinct_workloads(specs: Sequence[RunSpec]) -> List[tuple]:
+    """The distinct trace-cache keys of ``specs``, in first-use order."""
+    return list(dict.fromkeys(
+        (spec.benchmark, spec.trace_length, spec.seed) for spec in specs))
 
-    Returns the number of distinct workloads.  Called by the parallel
-    engine before forking so workers share the parent's traces; also
-    useful on its own to pay all generation cost up front.
+
+def warm_trace_cache(specs: Sequence[RunSpec]) -> int:
+    """Materialise the first distinct workloads of ``specs`` in the cache.
+
+    Warms at most as many workloads as the process-wide cache holds, in
+    spec order, and returns that number.  Warming more would evict the
+    first ones again, so forked workers would inherit only the last
+    traces and regenerate the others; warming the first ones lets the
+    workers share them and generate only the overflow themselves.
+    Called by the parallel engine before forking.
     """
-    seen: Set[tuple] = set()
+    # Capacity from the cache module itself: this module's
+    # ``default_cache`` name may be rebound to a wrapper offering only
+    # ``get``.
+    keys = distinct_workloads(specs)[:trace_cache.default_cache().capacity]
     cache = default_cache()
-    for spec in specs:
-        key = (spec.benchmark, spec.trace_length, spec.seed)
-        if key not in seen:
-            seen.add(key)
-            cache.get(*key)
-    return len(seen)
+    for key in keys:
+        cache.get(*key)
+    return len(keys)
 
 
 def execute_many(
@@ -238,7 +251,7 @@ def execute_many(
         # the (potentially long) generation phase must also exit through
         # ExperimentInterrupted rather than the default kill.
         with sigterm_interrupts():
-            # Generate each distinct trace once, pre-fork: forked
+            # Generate the first distinct traces once, pre-fork: forked
             # workers then read the parent's materialised traces via
             # copy-on-write pages.
             warm_trace_cache(specs)

@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import MachineConfig, baseline_rr_256, ws_rr, wsrs_rc
 from repro.experiments.runner import (
+    distinct_workloads,
     execute_many,
     matrix_specs,
     resolve_workers,
@@ -71,8 +73,9 @@ def run(
     cache = default_cache()
     hits_before, misses_before = cache.hits, cache.misses
 
+    distinct_traces = len(distinct_workloads(specs))
     warm_start = time.perf_counter()
-    distinct_traces = warm_trace_cache(specs)
+    warm_trace_cache(specs)
     warm_seconds = time.perf_counter() - warm_start
 
     sweep_start = time.perf_counter()
@@ -93,9 +96,9 @@ def run(
         "measure": measure,
         "warmup": warmup,
         "seed": seed,
-        # Which core-loop gear the cells ran on (see BENCH_core.json for
-        # the dedicated reference-vs-horizon comparison).
-        "fast_path": all(spec.fast_path for spec in specs),
+        # How many cells ran on each core-loop gear (see BENCH_core.json
+        # for the dedicated three-gear comparison).
+        "gears": dict(Counter(result.gear for result in results)),
         "distinct_traces": distinct_traces,
         "phases": {
             "trace_warm_s": round(warm_seconds, 3),

@@ -183,7 +183,7 @@ class Observer:
                 "groups_unbalanced": stats.groups_unbalanced,
             },
             "engine": {
-                "fast_path": processor.fast_path,
+                "gear": processor.gear,
                 "horizon_jumps": processor.horizon_jumps,
                 "horizon_cycles_skipped": processor.horizon_cycles_skipped,
             },

@@ -35,11 +35,10 @@ DEFAULT_BENCHMARKS = ("gzip", "mcf")
 
 
 def _specs(benchmarks: Sequence[str], measure: int, warmup: int,
-           seed: int, fast_path: bool, observe: bool) -> List[RunSpec]:
+           seed: int, gear: str, observe: bool) -> List[RunSpec]:
     return [
         RunSpec(config=config, benchmark=benchmark, measure=measure,
-                warmup=warmup, seed=seed, fast_path=fast_path,
-                observe=observe)
+                warmup=warmup, seed=seed, gear=gear, observe=observe)
         for benchmark in benchmarks
         for config in figure4_configs()
     ]
@@ -47,10 +46,11 @@ def _specs(benchmarks: Sequence[str], measure: int, warmup: int,
 
 def collect(benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
             measure: int = 20_000, warmup: int = 20_000, seed: int = 1,
-            workers: Optional[int] = None,
-            fast_path: bool = True) -> Dict[str, Dict[str, RunResult]]:
-    """Observed runs for every (benchmark, section-5 config) cell."""
-    specs = _specs(benchmarks, measure, warmup, seed, fast_path,
+            workers: Optional[int] = None
+            ) -> Dict[str, Dict[str, RunResult]]:
+    """Observed runs for every (benchmark, section-5 config) cell (an
+    observer blocks specialization, so they run the horizon gear)."""
+    specs = _specs(benchmarks, measure, warmup, seed, "horizon",
                    observe=True)
     results = execute_many(specs, workers=workers)
     table: Dict[str, Dict[str, RunResult]] = {}
@@ -102,11 +102,11 @@ def verify_invariants(benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
                       seed: int = 1,
                       workers: Optional[int] = None) -> List[str]:
     """The acceptance checks, as data: a list of violations (empty = ok)."""
-    fast = _specs(benchmarks, measure, warmup, seed, fast_path=True,
+    fast = _specs(benchmarks, measure, warmup, seed, gear="horizon",
                   observe=True)
-    reference = _specs(benchmarks, measure, warmup, seed, fast_path=False,
+    reference = _specs(benchmarks, measure, warmup, seed, gear="reference",
                        observe=True)
-    plain = _specs(benchmarks, measure, warmup, seed, fast_path=True,
+    plain = _specs(benchmarks, measure, warmup, seed, gear="horizon",
                    observe=False)
     results = execute_many(fast + reference + plain, workers=workers)
     cells = len(fast)

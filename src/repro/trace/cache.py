@@ -12,9 +12,12 @@ with two storage tiers:
 * an **in-process LRU** (default: :data:`DEFAULT_CAPACITY` traces) - the
   tier that matters for sweeps.  With the ``fork`` start method the
   parallel experiment engine (:mod:`repro.experiments.runner`) pre-warms
-  this cache *before* spawning workers, so every worker inherits the
-  traces through copy-on-write pages and no process ever generates a
-  trace twice;
+  this cache *before* spawning workers with the first workloads of the
+  matrix, up to its capacity, so every worker inherits those traces
+  through copy-on-write pages.  A matrix with more distinct workloads
+  than the capacity generates the overflow in the workers (once per
+  worker that needs it); raising the capacity trades that for about
+  one trace's memory per extra entry in every process;
 * an optional **on-disk pickle cache** (``WSRS_TRACE_CACHE`` environment
   variable, or ``configure(disk_dir=...)``) that persists traces across
   interpreter runs and is shared between concurrent worker processes.

@@ -40,10 +40,18 @@ class TestParser:
         args = build_parser().parse_args(
             ["simulate", "gzip", "--paranoid", "--reference"])
         assert args.paranoid is True
-        assert args.reference is True
+        assert args.gear == "reference"
         args = build_parser().parse_args(["simulate", "gzip"])
         assert args.paranoid is False
-        assert args.reference is False
+        assert args.gear == "specialized"
+
+    def test_trace_gear_is_horizon_unless_reference(self):
+        # A tracer blocks specialization, so trace offers only --reference.
+        assert build_parser().parse_args(["trace", "gzip"]).gear == "horizon"
+        args = build_parser().parse_args(["trace", "gzip", "--reference"])
+        assert args.gear == "reference"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["trace", "gzip", "--gear", "horizon"])
 
     def test_profile_arguments(self):
         args = build_parser().parse_args(

@@ -27,8 +27,8 @@ def _fingerprint(stats):
             list(stats.cluster_issued))
 
 
-def _run(config, trace, fast_path, sanitize=False):
-    processor = Processor(config, iter(trace), fast_path=fast_path,
+def _run(config, trace, gear, sanitize=False):
+    processor = Processor(config, iter(trace), gear=gear,
                           sanitize=True if sanitize else None)
     stats = processor.run(measure=MEASURE, warmup=WARMUP)
     return processor, stats
@@ -39,16 +39,16 @@ class TestGoldenEquivalence:
                              ids=lambda c: c.name)
     def test_all_section5_configs_bit_identical(self, config):
         trace = _trace("gcc")  # branchy: exercises penalty-window jumps
-        _, ref = _run(config, trace, fast_path=False)
-        fast_proc, fast = _run(config, trace, fast_path=True)
+        _, ref = _run(config, trace, gear="reference")
+        fast_proc, fast = _run(config, trace, gear="horizon")
         assert _fingerprint(ref) == _fingerprint(fast)
         assert fast_proc.horizon_jumps > 0
 
     def test_memory_bound_trace_bit_identical(self):
         trace = _trace("mcf")  # long memory stalls: the big jumps
         config = figure4_configs()[0]
-        _, ref = _run(config, trace, fast_path=False)
-        fast_proc, fast = _run(config, trace, fast_path=True)
+        _, ref = _run(config, trace, gear="reference")
+        fast_proc, fast = _run(config, trace, gear="horizon")
         assert _fingerprint(ref) == _fingerprint(fast)
         assert fast_proc.horizon_cycles_skipped > fast_proc.horizon_jumps
 
@@ -57,8 +57,8 @@ class TestGoldenEquivalence:
                              ids=lambda c: c.name)
     def test_sanitized_runs_stay_identical(self, config):
         trace = _trace("gcc")
-        ref_proc, ref = _run(config, trace, fast_path=False, sanitize=True)
-        fast_proc, fast = _run(config, trace, fast_path=True, sanitize=True)
+        ref_proc, ref = _run(config, trace, gear="reference", sanitize=True)
+        fast_proc, fast = _run(config, trace, gear="horizon", sanitize=True)
         assert _fingerprint(ref) == _fingerprint(fast)
         # The jump-aware sanitizer still accounts one check per cycle.
         assert ref_proc.sanitizer.checks == fast_proc.sanitizer.checks
@@ -67,7 +67,7 @@ class TestGoldenEquivalence:
 class TestGearSelection:
     def test_reference_gear_never_jumps(self):
         trace = _trace("gcc")
-        ref_proc, _ = _run(figure4_configs()[0], trace, fast_path=False)
+        ref_proc, _ = _run(figure4_configs()[0], trace, gear="reference")
         assert ref_proc.horizon_jumps == 0
         assert ref_proc.horizon_cycles_skipped == 0
 
@@ -75,8 +75,8 @@ class TestGearSelection:
         # rename_impl=1 rotates free-list state every idle cycle, so
         # skipping cycles would not be invariant; the gate is automatic.
         config = wsrs_rc(512, rename_impl=1)
-        processor = Processor(config, iter(_trace("gzip")), fast_path=True)
-        assert not processor.fast_path
+        processor = Processor(config, iter(_trace("gzip")), gear="horizon")
+        assert processor.gear == "reference"
         stats = processor.run(measure=MEASURE, warmup=WARMUP)
         assert processor.horizon_jumps == 0
         assert stats.committed == MEASURE
@@ -84,9 +84,9 @@ class TestGearSelection:
     def test_simulate_helper_exposes_the_knob(self):
         trace = _trace("gzip")
         ref = simulate(figure4_configs()[0], iter(trace), measure=MEASURE,
-                       warmup=WARMUP, fast_path=False)
+                       warmup=WARMUP, gear="reference")
         fast = simulate(figure4_configs()[0], iter(trace), measure=MEASURE,
-                        warmup=WARMUP, fast_path=True)
+                        warmup=WARMUP, gear="horizon")
         assert _fingerprint(ref) == _fingerprint(fast)
 
 
@@ -96,7 +96,7 @@ class TestDeadlockProof:
         # reference stepper would spin _PROGRESS_LIMIT cycles before
         # giving up, the fast path proves the deadlock on the spot.
         processor = Processor(figure4_configs()[0], iter([]),
-                              fast_path=True)
+                              gear="horizon")
         processor._waiting_branch = object()  # never-resolving branch
         with pytest.raises(DeadlockedPipeline, match="event horizon"):
             processor._try_jump()
@@ -108,16 +108,16 @@ class TestRunSpecPlumbing:
 
         config = figure4_configs()[0]
         results = {}
-        for fast in (False, True):
+        for gear in ("reference", "horizon"):
             spec = RunSpec(config=config, benchmark="vpr",
-                           measure=MEASURE, warmup=WARMUP,
-                           fast_path=fast)
-            results[fast] = execute(spec).stats
-        assert _fingerprint(results[False]) == _fingerprint(results[True])
+                           measure=MEASURE, warmup=WARMUP, gear=gear)
+            results[gear] = execute(spec).stats
+        assert (_fingerprint(results["reference"])
+                == _fingerprint(results["horizon"]))
 
     def test_sweep_cells_default_to_fast_unparanoid(self):
         from repro.experiments.runner import RunSpec
 
         spec = RunSpec(config=figure4_configs()[0], benchmark="gzip")
-        assert spec.fast_path
+        assert spec.gear == "specialized"
         assert not spec.check_invariants

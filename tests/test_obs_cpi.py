@@ -118,9 +118,9 @@ class TestSectionFiveAcceptance:
 
     def test_stack_sums_and_gears_and_neutrality(self, name):
         config = next(c for c in figure4_configs() if c.name == name)
-        observed_fast = _run(config, observe=True, fast_path=True)
-        observed_ref = _run(config, observe=True, fast_path=False)
-        plain = _run(config, observe=False, fast_path=True)
+        observed_fast = _run(config, observe=True, gear="horizon")
+        observed_ref = _run(config, observe=True, gear="reference")
+        plain = _run(config, observe=False, gear="horizon")
 
         for result in (observed_fast, observed_ref):
             assert sum(result.obs["causes"].values()) == \
@@ -131,7 +131,7 @@ class TestSectionFiveAcceptance:
             gear_invariant_view(observed_ref.obs)
         # the fast gear must actually have jumped for the equality above
         # to mean anything on stall-heavy runs
-        assert observed_fast.obs["engine"]["fast_path"]
+        assert observed_fast.obs["engine"]["gear"] == "horizon"
 
         assert observed_fast.stats.summary() == plain.stats.summary()
         assert observed_fast.stats.cycles == plain.stats.cycles

@@ -14,11 +14,11 @@ from repro.trace.profiles import spec_trace
 MEASURE = 2_000
 
 
-def _traced_run(path, fast_path=True, **tracer_kwargs):
+def _traced_run(path, gear="horizon", **tracer_kwargs):
     config = wsrs_rc(512)
     with PipelineTracer(str(path), **tracer_kwargs) as tracer:
         processor = Processor(config, spec_trace("gzip", MEASURE + 4_096),
-                              check_invariants=False, fast_path=fast_path,
+                              check_invariants=False, gear=gear,
                               tracer=tracer)
         stats = processor.run(measure=MEASURE)
         tracer.close(stats)
@@ -68,8 +68,8 @@ class TestTracerRoundTrip:
         the two gears' traces differ only in jump records."""
         fast_path = tmp_path / "fast.jsonl"
         reference = tmp_path / "ref.jsonl"
-        _traced_run(fast_path, fast_path=True)
-        _traced_run(reference, fast_path=False)
+        _traced_run(fast_path, gear="horizon")
+        _traced_run(reference, gear="reference")
         fast_events = [e for e in read_events(str(fast_path))
                        if e["t"] in ("D", "I", "R")]
         ref_events = [e for e in read_events(str(reference))

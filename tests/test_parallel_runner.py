@@ -11,16 +11,20 @@ execution, spec-order reassembly, and the progress stream.
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.config import baseline_rr_256, wsrs_rc
 from repro.experiments.runner import (
     ExperimentInterrupted,
     RunSpec,
     TRACE_SLACK,
+    distinct_workloads,
     execute,
     execute_many,
     matrix_specs,
@@ -29,6 +33,8 @@ from repro.experiments.runner import (
     sigterm_interrupts,
     warm_trace_cache,
 )
+from repro.trace import cache as trace_cache
+from repro.trace.profiles import ALL_BENCHMARKS
 
 MINI_BENCHMARKS = ("gzip", "mcf", "wupwise")
 MINI_MEASURE = 2_000
@@ -107,6 +113,33 @@ class TestExecuteMany:
         specs = mini_specs()
         # 3 benchmarks x 2 configs but only 3 distinct workloads
         assert warm_trace_cache(specs) == len(MINI_BENCHMARKS)
+        assert [key[0] for key in distinct_workloads(specs)] == \
+            list(MINI_BENCHMARKS)
+
+    def test_warm_trace_cache_keeps_the_first_workloads(self, monkeypatch):
+        # 12 distinct workloads overflow an 8-trace cache: warming all of
+        # them would leave forked workers the last 8 and regenerate the
+        # first 4; warming the first 8 lets workers share those.
+        monkeypatch.setattr(trace_cache, "_default_cache", None)
+        cache = trace_cache.configure(capacity=8)
+        specs = matrix_specs(mini_configs(), ALL_BENCHMARKS,
+                             measure=50, warmup=0)
+        assert warm_trace_cache(specs) == 8
+        assert cache.misses == 8
+        assert [key[0] for key in cache._entries] == \
+            list(ALL_BENCHMARKS[:8])
+
+    def test_workers_import_only_the_runner(self):
+        # Pool children import repro.experiments.runner; the package
+        # must not drag the other experiment drivers in with it.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = ("import sys, repro.experiments.runner; "
+                 "print('repro.experiments.report' in sys.modules)")
+        output = subprocess.run(
+            [sys.executable, "-c", probe], check=True, text=True,
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=src)).stdout
+        assert output.strip() == "False"
 
 
 class TestGracefulInterrupt:

@@ -14,8 +14,12 @@ Three angles:
   without double-counting a cycle.
 * **Code generation** - the generated source is deterministic, bakes
   the configuration constants as literals, and is cached per source.
+* **Lifetime** - the default gear is the specialized one, and a
+  processor running it is freed by reference counting alone.
 """
 
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -31,6 +35,8 @@ from repro.core.specialize import (
     generate_stepper_source,
     specialization_blockers,
 )
+from repro.frontend.predictors import AlwaysTakenPredictor
+from repro.trace.model import OpClass, TraceInstruction
 from repro.trace.profiles import spec_trace
 
 MEASURE = 1_200
@@ -192,6 +198,40 @@ class TestMidRunGuard:
         assert processor.despecializations == 1
 
 
+@pytest.mark.parametrize("muldiv", [
+    dict(pipelined_muldiv=False),
+    dict(shared_muldiv=True),
+    dict(pipelined_muldiv=False, shared_muldiv=True),
+], ids=["private-unpipelined", "shared-pipelined", "shared-unpipelined"])
+class TestTrackedMuldivUnits:
+    """Busy multiply/divide units: the issuing cluster's unit is the one
+    marked busy, and its release is an event-horizon candidate."""
+
+    def test_gears_agree_on_a_mixed_trace(self, muldiv):
+        config = baseline_rr_256(**muldiv)
+        trace = list(spec_trace("gcc", 12_000))
+        prints = {}
+        for gear in ("reference", "specialized"):
+            processor = Processor(config, iter(trace), gear=gear,
+                                  check_invariants=False)
+            prints[gear] = _fingerprint(
+                processor.run(measure=6_000, warmup=2_000))
+            assert processor.gear == gear
+        assert prints["reference"] == prints["specialized"]
+
+    def test_muldiv_only_trace_waits_for_the_unit(self, muldiv):
+        config = baseline_rr_256(**muldiv)
+        trace = [TraceInstruction(OpClass.IMULDIV, dest=1 + i % 16,
+                                  src1=20, src2=21) for i in range(100)]
+        prints = {}
+        for gear in ("reference", "specialized"):
+            processor = Processor(config, iter(trace), gear=gear,
+                                  predictor=AlwaysTakenPredictor(),
+                                  check_invariants=False)
+            prints[gear] = _fingerprint(processor.run(measure=100))
+        assert prints["reference"] == prints["specialized"]
+
+
 class TestCodeGeneration:
     def test_source_is_deterministic(self):
         config = figure4_configs()[0]
@@ -231,3 +271,27 @@ class TestCodeGeneration:
         processor = Processor(figure4_configs()[0], iter([]),
                               sanitize=True)
         assert build_specialized_runner(processor) is None
+
+
+class TestDefaultGearLifetime:
+    def test_specialized_is_the_default_gear(self):
+        processor = Processor(figure4_configs()[0], iter([]),
+                              check_invariants=False)
+        assert processor.gear == "specialized"
+
+    def test_finished_processor_is_freed_without_a_collection(self):
+        # The stepper must not close over its processor: a reference
+        # cycle would keep every finished machine alive until the next
+        # full garbage collection.
+        gc.disable()
+        try:
+            processor = Processor(figure4_configs()[0],
+                                  iter(spec_trace("gzip", SLICE)),
+                                  check_invariants=False)
+            processor.run(measure=MEASURE, warmup=WARMUP)
+            assert processor.gear == "specialized"
+            alive = weakref.ref(processor)
+            del processor
+            assert alive() is None
+        finally:
+            gc.enable()
